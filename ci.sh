@@ -46,12 +46,8 @@ assert doc["sim_engine"] == "block", "throughput engine is not the block engine"
 for key in ("sim_step_insts_per_sec", "sim_engine_speedup",
             "sim_l2_insts_per_sec", "sim_prefetch_insts_per_sec"):
     assert doc.get(key, 0) > 0, f"bench JSON missing {key}"
-# Probe microbench: ns/access for every regime, plus the recorded
-# repetition count of the best-of methodology.
+# The recorded repetition count of the best-of methodology.
 assert doc.get("best_of", 0) == 2, "smoke run did not record --best-of 2"
-for key in ("sim_probe_plain_ns", "sim_probe_coalesced_ns",
-            "sim_probe_l2_ns", "sim_probe_prefetch_ns"):
-    assert doc.get(key, 0) > 0, f"bench JSON missing {key}"
 bc = doc["block_cache"]
 for key in ("blocks_decoded", "insts_decoded", "mean_block_len",
             "dispatches", "dispatch_hits", "insts_retired"):
@@ -64,8 +60,7 @@ elif command -v jq >/dev/null 2>&1; then
   jq -e '.jobs and .sequential_secs > 0 and .parallel_secs > 0 and .speedup and .memo and .sim_insts_per_sec
          and .sim_engine == "block" and .sim_step_insts_per_sec > 0 and .sim_engine_speedup > 0
          and .sim_l2_insts_per_sec > 0 and .sim_prefetch_insts_per_sec > 0
-         and .best_of == 2 and .sim_probe_plain_ns > 0 and .sim_probe_coalesced_ns > 0
-         and .sim_probe_l2_ns > 0 and .sim_probe_prefetch_ns > 0
+         and .best_of == 2
          and .block_cache.dispatches > 0 and .block_cache.insts_retired > 0
          and .analysis.contexts > 0 and .analysis.hit_rate != null' \
     /tmp/ci_bench.json >/dev/null
@@ -230,15 +225,8 @@ echo "== perf-regression gate (bench-diff) =="
 # Smoke-run numbers against the committed full-run baseline. Hosts
 # and smoke inputs vary wildly, so the threshold is deliberately
 # generous: this gate catches order-of-magnitude collapses (an engine
-# falling off its fast path), not scheduling noise. The probe-cost
-# band is wider still: ns/access on the smoke kernel runs
-# systematically hotter than the committed full-run numbers (smaller
-# kernel = larger cold-miss share, and CI measures right after the
-# repro sweeps heated the host), and unlike a throughput drop a cost
-# rise is unbounded — 250% still catches a fast-path collapse, which
-# shows up as 5-10x.
-./target/release/dlc bench-diff BENCH_pipeline.json /tmp/ci_bench.json \
-  --threshold 75 --cost-threshold 250
+# falling off its fast path), not scheduling noise.
+./target/release/dlc bench-diff BENCH_pipeline.json /tmp/ci_bench.json --threshold 75
 
 echo "== repro determinism check =="
 ./target/release/repro --jobs 1 table3 > /tmp/ci_seq.out 2>/dev/null
@@ -332,21 +320,5 @@ cmp /tmp/ci_paper_seq.out /tmp/ci_step_paper.out
 DL_SIM_ENGINE=step ./target/release/repro --jobs 4 table3 > /tmp/ci_step_t3.out 2>/dev/null
 cmp /tmp/ci_seq.out /tmp/ci_step_t3.out
 echo "step and block engines byte-identical"
-
-echo "== probe-elimination equivalence check =="
-# The probe layer (decode-time same-line coalescing + per-site line
-# predictor) is a pure optimization: DL_PROBE_FAST=off must not change
-# a byte of any table, and the step engine (which never had the layer)
-# must agree with both. Tables 3/11/12/14 plus the memory-system
-# matrix cover every policy/L2/prefetch regime the layer specializes.
-DL_PROBE_FAST=off ./target/release/repro --jobs 4 table3 > /tmp/ci_nofast_t3.out 2>/dev/null
-cmp /tmp/ci_seq.out /tmp/ci_nofast_t3.out
-DL_PROBE_FAST=off ./target/release/repro --jobs 4 table11 table12 table14 > /tmp/ci_nofast_paper.out 2>/dev/null
-cmp /tmp/ci_paper_seq.out /tmp/ci_nofast_paper.out
-DL_PROBE_FAST=off ./target/release/repro --smoke --jobs 4 extension-memmatrix > /tmp/ci_nofast_mem.out 2>/dev/null
-cmp /tmp/ci_mem_seq.out /tmp/ci_nofast_mem.out
-DL_PROBE_FAST=off DL_SIM_ENGINE=step ./target/release/repro --smoke --jobs 4 extension-memmatrix > /tmp/ci_nofast_mem_step.out 2>/dev/null
-cmp /tmp/ci_mem_seq.out /tmp/ci_nofast_mem_step.out
-echo "probe layer byte-identical on/off, both engines"
 
 echo "CI green"

@@ -9,9 +9,9 @@
 //!
 //! `--smoke` shrinks the workload (one table, one throughput run) so
 //! CI can validate the harness in seconds; the JSON shape is the same.
-//! `--best-of N` (or env `DL_BENCH_BEST_OF`; default 5) sets the
-//! timed-repetition count per throughput measurement — CI smoke runs
-//! use 2, committed numbers keep the best-of-5 methodology.
+//! `--best-of N` (default 5) sets the timed-repetition count per
+//! throughput measurement — CI smoke runs use 2, the committed
+//! numbers use 16.
 
 use std::time::Instant;
 
@@ -43,12 +43,7 @@ fn parse_args() -> Args {
         jobs: default_jobs(),
         smoke: false,
         out: "BENCH_pipeline.json".into(),
-        // The flag wins over the environment; both default to the
-        // committed best-of-5 methodology.
-        best_of: std::env::var("DL_BENCH_BEST_OF")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(5),
+        best_of: 5,
     };
     let mut i = 0;
     while i < argv.len() {
@@ -115,29 +110,25 @@ fn throughput_kernel(smoke: bool) -> dl_mips::program::Program {
     compile(&source, OptLevel::O0).expect("kernel compiles")
 }
 
-/// One throughput measurement: instructions, best-trial seconds,
-/// data-cache accesses, and the block-cache stats of the best trial.
+/// One throughput measurement: instructions, best-trial seconds, and
+/// the block-cache stats of the best trial.
 struct SimMeasure {
     insts: u64,
     secs: f64,
-    accesses: u64,
     stats: Option<BlockStats>,
 }
 
 /// Raw simulator throughput of one engine on the shared kernel under
-/// the given memory system. `probe_fast` toggles the block engine's
-/// probe-elimination layer so the `sim_probe` section can price it.
+/// the given memory system.
 fn sim_throughput(
     program: &dl_mips::program::Program,
     engine: Engine,
     memory: MemoryConfig,
-    probe_fast: bool,
     best_of: usize,
 ) -> SimMeasure {
     let config = RunConfig {
         engine,
         memory,
-        probe_fast,
         ..RunConfig::default()
     };
     // Warmup.
@@ -160,7 +151,6 @@ fn sim_throughput(
             best = Some(SimMeasure {
                 insts: result.instructions,
                 secs,
-                accesses: result.dcache_accesses,
                 stats,
             });
         }
@@ -186,8 +176,8 @@ fn main() {
     // and on a frequency- or quota-managed host that throttles
     // whatever is measured next. The fastest engine gets the freshest
     // clock; reporting order below is unchanged.
-    let block = sim_throughput(&kernel, Engine::Block, MemoryConfig::default(), true, n);
-    let step = sim_throughput(&kernel, Engine::Step, MemoryConfig::default(), true, n);
+    let block = sim_throughput(&kernel, Engine::Block, MemoryConfig::default(), n);
+    let step = sim_throughput(&kernel, Engine::Step, MemoryConfig::default(), n);
     let (insts, step_secs) = (step.insts, step.secs);
     let step_rate = insts as f64 / step_secs;
     eprintln!("  step:  {insts} instructions in {step_secs:.3}s = {step_rate:.0} insts/s");
@@ -206,7 +196,7 @@ fn main() {
         l2: Some(L2Config::kb(64, 8, Inclusion::Inclusive)),
         ..MemoryConfig::default()
     };
-    let l2 = sim_throughput(&kernel, Engine::Block, l2_mem, true, n);
+    let l2 = sim_throughput(&kernel, Engine::Block, l2_mem, n);
     let l2_secs = l2.secs;
     let l2_rate = insts as f64 / l2_secs;
     eprintln!("  block+l2: {insts} instructions in {l2_secs:.3}s = {l2_rate:.0} insts/s");
@@ -214,27 +204,10 @@ fn main() {
         prefetch: Some(StridePrefetchConfig::degree(2)),
         ..MemoryConfig::default()
     };
-    let pf = sim_throughput(&kernel, Engine::Block, pf_mem, true, n);
+    let pf = sim_throughput(&kernel, Engine::Block, pf_mem, n);
     let pf_secs = pf.secs;
     let pf_rate = insts as f64 / pf_secs;
     eprintln!("  block+pf: {insts} instructions in {pf_secs:.3}s = {pf_rate:.0} insts/s");
-
-    // Probe-cost microbench: ns per data-cache access in each block
-    // engine regime. `plain` runs the same kernel and memory system
-    // as `coalesced` but with `DL_PROBE_FAST`-equivalent off, so the
-    // pair prices the probe-elimination layer directly; `l2` and
-    // `prefetch` reuse the regime measurements above.
-    let ns = |m: &SimMeasure| m.secs / (m.accesses.max(1) as f64) * 1e9;
-    eprintln!("[sim_probe: ns/access]");
-    let plain = sim_throughput(&kernel, Engine::Block, MemoryConfig::default(), false, n);
-    let probe_plain_ns = ns(&plain);
-    let probe_coalesced_ns = ns(&block);
-    let probe_l2_ns = ns(&l2);
-    let probe_prefetch_ns = ns(&pf);
-    eprintln!(
-        "  plain: {probe_plain_ns:.3}  coalesced: {probe_coalesced_ns:.3}  \
-         l2: {probe_l2_ns:.3}  prefetch: {probe_prefetch_ns:.3}"
-    );
 
     eprintln!("[sequential prewarm: {}]", tables.join(", "));
     let (seq_secs, configs, _) = time_prewarm(tables, 1);
@@ -302,10 +275,6 @@ fn main() {
         .with("sim_l2_insts_per_sec", l2_rate.into())
         .with("sim_prefetch_secs", pf_secs.into())
         .with("sim_prefetch_insts_per_sec", pf_rate.into())
-        .with("sim_probe_plain_ns", probe_plain_ns.into())
-        .with("sim_probe_coalesced_ns", probe_coalesced_ns.into())
-        .with("sim_probe_l2_ns", probe_l2_ns.into())
-        .with("sim_probe_prefetch_ns", probe_prefetch_ns.into())
         .with("sim_engine_speedup", engine_speedup.into())
         .with(
             "block_cache",

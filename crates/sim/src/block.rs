@@ -138,27 +138,6 @@ impl BlockStats {
     }
 }
 
-/// Memory-system shapes for the fast dispatch loop: the run's
-/// `MemoryConfig` is matched once up front and the chosen
-/// instantiation of [`run_blocks`] carries it as a const, so the
-/// non-MRU demand walk is a direct call into the one policy the
-/// configuration uses — no `simple` test, no replacement-policy
-/// dispatch, no redundant MRU re-probe. (Rust const generics take
-/// primitives, hence `u8` constants rather than an enum.)
-pub(crate) mod shape {
-    /// Plain L1, true-LRU replacement.
-    pub const PLAIN_LRU: u8 = 0;
-    /// Plain L1, tree-PLRU replacement.
-    pub const PLAIN_PLRU: u8 = 1;
-    /// Plain L1, random replacement.
-    pub const PLAIN_RANDOM: u8 = 2;
-    /// L1 + L2 hierarchy (any policy): the two-level walk.
-    pub const L2: u8 = 3;
-    /// The generic [`crate::memory::MemorySystem::demand_access`]
-    /// path: used by the slow engine and by `DL_PROBE_FAST=off`.
-    pub const FULL: u8 = 4;
-}
-
 /// A pre-decoded straight-line instruction. Register fields are raw
 /// indices (masked on use so bounds checks vanish); immediates carry
 /// their final sign-/zero-extended 32-bit value.
@@ -430,373 +409,6 @@ enum Op {
         rs: u8,
         rt2: u8,
     },
-    // Probe-elimination forms (`…Np` = no probe): members of a
-    // decode-time coalescing group. The group's [`Op::Probe`] answers
-    // the cache side for every member at once, so these run the
-    // architectural memory access only — no per-access tag compare.
-    // Distinct variants instead of a `probe` flag keep the hot
-    // dispatch free of a per-access branch. Only word accesses join
-    // groups (minic emits nothing narrower); sub-word accesses break
-    // them conservatively.
-    /// A group-member `lw rt, off(base)`.
-    LwNp {
-        rt: u8,
-        base: u8,
-        off: u32,
-        at: u32,
-    },
-    /// A group-member `sw rt, off(base)`.
-    SwNp {
-        rt: u8,
-        base: u8,
-        off: u32,
-        at: u32,
-    },
-    /// [`Op::LwLi`] whose load half is a group member.
-    LwLiNp {
-        rt: u8,
-        base: u8,
-        rt2: u8,
-        off: u32,
-        at: u32,
-        imm: u32,
-    },
-    /// [`Op::LwAddiu`] whose load half is a group member.
-    LwAddiuNp {
-        rt: u8,
-        base: u8,
-        rt2: u8,
-        rs2: u8,
-        off: u32,
-        at: u32,
-        imm: u32,
-    },
-    /// [`Op::LwSll`] whose load half is a group member.
-    LwSllNp {
-        rt: u8,
-        base: u8,
-        rd: u8,
-        rt2: u8,
-        shamt: u8,
-        off: u32,
-        at: u32,
-    },
-    /// [`Op::LwAddu`] whose load half is a group member.
-    LwAdduNp {
-        rt: u8,
-        base: u8,
-        rd: u8,
-        rs: u8,
-        rt2: u8,
-        off: u32,
-        at: u32,
-    },
-    /// [`Op::AdduLw`] whose load half is a group member.
-    AdduLwNp {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        rt2: u8,
-        base: u8,
-        off: u32,
-        at: u32,
-    },
-    /// [`Op::AdduSw`] whose store half is a group member.
-    AdduSwNp {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        rt2: u8,
-        base: u8,
-        off: u32,
-        at: u32,
-    },
-    // Group-leader forms (`…Pr` = probe): the first member of a
-    // coalescing group carries the group's single cache probe
-    // ([`exec_probe`]) fused into its own dispatch, so the probe
-    // costs zero extra ops. `gid` indexes `Block::groups` and takes
-    // the `at` slot — the leader's instruction index lives in the
-    // group's member record, where the probe's miss path needs it.
-    /// A group-leader `lw rt, off(base)`.
-    LwPr {
-        rt: u8,
-        base: u8,
-        off: u32,
-        gid: u32,
-    },
-    /// A group-leader `sw rt, off(base)`.
-    SwPr {
-        rt: u8,
-        base: u8,
-        off: u32,
-        gid: u32,
-    },
-    /// [`Op::LwLi`] whose load half leads a group.
-    LwLiPr {
-        rt: u8,
-        base: u8,
-        rt2: u8,
-        off: u32,
-        gid: u32,
-        imm: u32,
-    },
-    /// [`Op::LwAddiu`] whose load half leads a group.
-    LwAddiuPr {
-        rt: u8,
-        base: u8,
-        rt2: u8,
-        rs2: u8,
-        off: u32,
-        gid: u32,
-        imm: u32,
-    },
-    /// [`Op::LwSll`] whose load half leads a group.
-    LwSllPr {
-        rt: u8,
-        base: u8,
-        rd: u8,
-        rt2: u8,
-        shamt: u8,
-        off: u32,
-        gid: u32,
-    },
-    /// [`Op::LwAddu`] whose load half leads a group.
-    LwAdduPr {
-        rt: u8,
-        base: u8,
-        rd: u8,
-        rs: u8,
-        rt2: u8,
-        off: u32,
-        gid: u32,
-    },
-    /// [`Op::AdduLw`] whose load half leads a group. The probe runs
-    /// after the `addu` half, at the leader's program position, so a
-    /// base written by the `addu` is read post-write as the reference
-    /// engine would.
-    AdduLwPr {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        rt2: u8,
-        base: u8,
-        off: u32,
-        gid: u32,
-    },
-    /// [`Op::AdduSw`] whose store half leads a group.
-    AdduSwPr {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        rt2: u8,
-        base: u8,
-        off: u32,
-        gid: u32,
-    },
-    // Quad macro-ops: a second fusion pass pairs up adjacent fused
-    // ops along the stereotyped minic -O0 rewrite sequences (slot
-    // read-modify-write, two-slot reload + address formation, array
-    // element read + write-back), so the four-instruction idiom costs
-    // one dispatch. Suffix letters give each memory half's probe
-    // form: `N` = group member (`…Np`), `P` = group leader (`…Pr`),
-    // `Q` = ordinary probed slot. Only combinations the compiler
-    // actually emits around coalescing groups are defined; everything
-    // else simply stays pair-fused.
-    /// [`Op::LwLiNp`] then [`Op::AdduSwNp`]: a slot RMW entirely
-    /// inside one coalescing group.
-    LwLiAdduSwNN {
-        l_rt: u8,
-        l_base: u8,
-        l_rt2: u8,
-        l_off: u32,
-        l_at: u32,
-        l_imm: u32,
-        s_rd: u8,
-        s_rs: u8,
-        s_rt: u8,
-        s_rt2: u8,
-        s_base: u8,
-        s_off: u32,
-        s_at: u32,
-    },
-    /// [`Op::LwLiPr`] then [`Op::AdduSwNp`]: slot RMW whose load
-    /// leads the group.
-    LwLiAdduSwPN {
-        l_rt: u8,
-        l_base: u8,
-        l_rt2: u8,
-        l_off: u32,
-        l_gid: u32,
-        l_imm: u32,
-        s_rd: u8,
-        s_rs: u8,
-        s_rt: u8,
-        s_rt2: u8,
-        s_base: u8,
-        s_off: u32,
-        s_at: u32,
-    },
-    /// [`Op::LwLiNp`] then [`Op::AdduSwPr`]: slot RMW whose store
-    /// leads the next group.
-    LwLiAdduSwNP {
-        l_rt: u8,
-        l_base: u8,
-        l_rt2: u8,
-        l_off: u32,
-        l_at: u32,
-        l_imm: u32,
-        s_rd: u8,
-        s_rs: u8,
-        s_rt: u8,
-        s_rt2: u8,
-        s_base: u8,
-        s_off: u32,
-        s_gid: u32,
-    },
-    /// [`Op::LwAddiuPr`] then [`Op::LwSllNp`]: two same-line slot
-    /// reloads plus constant add and index scale.
-    LwAddiuLwSllPN {
-        a_rt: u8,
-        a_base: u8,
-        a_rt2: u8,
-        a_rs2: u8,
-        a_off: u32,
-        a_gid: u32,
-        a_imm: u32,
-        b_rt: u8,
-        b_base: u8,
-        b_rd: u8,
-        b_rt2: u8,
-        b_shamt: u8,
-        b_off: u32,
-        b_at: u32,
-    },
-    /// [`Op::AdduLw`] then [`Op::AdduSwPr`]: array element read
-    /// (ordinary probed slot) plus group-leading spill.
-    AdduLwAdduSwQP {
-        a_rd: u8,
-        a_rs: u8,
-        a_rt: u8,
-        a_rt2: u8,
-        a_base: u8,
-        a_off: u32,
-        a_at: u32,
-        b_rd: u8,
-        b_rs: u8,
-        b_rt: u8,
-        b_rt2: u8,
-        b_base: u8,
-        b_off: u32,
-        b_gid: u32,
-    },
-    // Octo macro-ops: a third greedy pass pairs adjacent quads (and a
-    // trailing fused pair) covering eight-plus instructions per
-    // dispatch. Same contract as the quads — the halves' code
-    // verbatim, in program order. Prefixes `a_`..`d_` / `l_`,`s_`,`t_`
-    // name the original memory-idiom slots left to right.
-    /// [`Op::LwAddiuLwSllPN`] then [`Op::AdduLwAdduSwQP`]: the full
-    /// indexed-array read-modify-write prologue of a minic `-O0`
-    /// inner loop body.
-    LwAddiuLwSllAdduLwAdduSwPNQP {
-        a_rt: u8,
-        a_base: u8,
-        a_rt2: u8,
-        a_rs2: u8,
-        a_off: u32,
-        a_gid: u32,
-        a_imm: u32,
-        b_rt: u8,
-        b_base: u8,
-        b_rd: u8,
-        b_rt2: u8,
-        b_shamt: u8,
-        b_off: u32,
-        b_at: u32,
-        c_rd: u8,
-        c_rs: u8,
-        c_rt: u8,
-        c_rt2: u8,
-        c_base: u8,
-        c_off: u32,
-        c_at: u32,
-        d_rd: u8,
-        d_rs: u8,
-        d_rt: u8,
-        d_rt2: u8,
-        d_base: u8,
-        d_off: u32,
-        d_gid: u32,
-    },
-    /// [`Op::LwLiAdduSwNN`] then [`Op::LwLiNp`]: slot increment plus
-    /// the loop-test reload, all members of coalescing groups.
-    LwLiAdduSwLwLiNNN {
-        l_rt: u8,
-        l_base: u8,
-        l_rt2: u8,
-        l_off: u32,
-        l_at: u32,
-        l_imm: u32,
-        s_rd: u8,
-        s_rs: u8,
-        s_rt: u8,
-        s_rt2: u8,
-        s_base: u8,
-        s_off: u32,
-        s_at: u32,
-        t_rt: u8,
-        t_base: u8,
-        t_rt2: u8,
-        t_off: u32,
-        t_at: u32,
-        t_imm: u32,
-        /// Decode-time store-to-load forward: the trailing load reads
-        /// the exact address the store just wrote (same base register,
-        /// untouched in between, same offset), so its value is the
-        /// stored value and the memory round-trip is skipped. Both
-        /// slots are group members, so there is no cache side to
-        /// preserve, and the load cannot fault where the store
-        /// succeeded.
-        fwd: bool,
-    },
-}
-
-/// One member of a coalescing group: enough to replay its cache
-/// access exactly (site, offset, direction) when the group's
-/// same-line proof fails at runtime.
-#[derive(Debug, Clone, Copy)]
-struct Member {
-    off: u32,
-    at: u32,
-    is_load: bool,
-}
-
-/// A decode-time coalescing group: a maximal run of word accesses
-/// through one base register, uninterrupted by any other memory
-/// access or by a write to the base, whose constant offsets span less
-/// than one cache line. At runtime a single [`Op::Probe`] decides the
-/// whole group: if the two extreme addresses fall in the same line,
-/// one probe answers every member (the leader's access makes the line
-/// MRU, so the rest are state-free MRU hits by the fast-path
-/// contract); otherwise the probe bails out and replays each member's
-/// access individually, in program order.
-#[derive(Debug)]
-struct Group {
-    /// The shared base register.
-    base: u8,
-    /// Offset of the lowest member address (signed, as u32).
-    min_off: u32,
-    /// Offset of the highest member address.
-    max_off: u32,
-    /// The leader's instruction index: the line-predictor slot and
-    /// the miss-attribution site when the whole group misses.
-    pred_at: u32,
-    /// Every member in program order (`members[0]` is the leader).
-    members: Box<[Member]>,
-    /// All member offsets are congruent mod 4: one runtime alignment
-    /// check on the lowest address then certifies every member, which
-    /// is what lets the window skip per-member checks (see
-    /// [`Machine::win_ok`]).
-    aligned: bool,
 }
 
 /// A block terminator with pre-resolved successors. Branch targets and
@@ -911,9 +523,6 @@ struct Block {
     /// order; every retirement executed each interval exactly once.
     ranges: Box<[(u32, u32)]>,
     body: Box<[Op]>,
-    /// Coalescing groups referenced by this body's [`Op::Probe`] ops
-    /// (empty unless probe elimination is enabled).
-    groups: Box<[Group]>,
     term: Term,
 }
 
@@ -932,22 +541,15 @@ pub(crate) struct BlockCache {
     /// all expanded from it once at the end of the run.
     retired: Vec<u64>,
     insts_decoded: u64,
-    /// Cache line size, for the decode-time same-line span proof.
-    line_bytes: u32,
-    /// Whether decode runs the coalescing pass (fast path with probe
-    /// elimination enabled; the slow path needs every access hook).
-    coalesce: bool,
 }
 
 impl BlockCache {
-    pub(crate) fn new(program_len: usize, line_bytes: u32, coalesce: bool) -> Self {
+    pub(crate) fn new(program_len: usize) -> Self {
         BlockCache {
             ids: vec![0u32; program_len].into_boxed_slice(),
             blocks: Vec::new(),
             retired: Vec::new(),
             insts_decoded: 0,
-            line_bytes,
-            coalesce,
         }
     }
 
@@ -962,7 +564,7 @@ impl BlockCache {
 
     #[cold]
     fn decode(&mut self, program: &Program, start: usize) -> usize {
-        let block = decode_block(program, start, self.line_bytes, self.coalesce);
+        let block = decode_block(program, start);
         self.insts_decoded += u64::from(block.len);
         let id = self.blocks.len();
         self.ids[start] = u32::try_from(id + 1).expect("block id overflow");
@@ -1017,7 +619,7 @@ impl BlockCache {
     }
 }
 
-fn decode_block(program: &Program, start: usize, line_bytes: u32, coalesce: bool) -> Block {
+fn decode_block(program: &Program, start: usize) -> Block {
     let insts = &program.insts;
     let mut body = Vec::new();
     let mut loads = 0u32;
@@ -1125,11 +727,6 @@ fn decode_block(program: &Program, start: usize, line_bytes: u32, coalesce: bool
     };
     ranges.push((seg_start as u32, (i - seg_start) as u32));
     let term = fuse_term(&mut body, term);
-    let groups = if coalesce {
-        coalesce_body(&mut body, line_bytes)
-    } else {
-        Vec::new()
-    };
     let body = fuse_body(body);
     Block {
         start: u32::try_from(start).expect("program too large"),
@@ -1139,199 +736,8 @@ fn decode_block(program: &Program, start: usize, line_bytes: u32, coalesce: bool
         stores,
         ranges: ranges.into_boxed_slice(),
         body: body.into_boxed_slice(),
-        groups: groups.into_boxed_slice(),
         term,
     }
-}
-
-/// Which register an op writes, if any. Coalescing uses this to end a
-/// group whenever its base register could change mid-group. Runs on
-/// the unfused body (pairs do not exist yet), so every op writes at
-/// most one register. Writes to `$zero` are discarded at execution,
-/// so they never end a group.
-fn op_writes(op: &Op) -> Option<u8> {
-    let reg = match *op {
-        Op::Lw { rt, .. }
-        | Op::LwNp { rt, .. }
-        | Op::Lb { rt, .. }
-        | Op::Lbu { rt, .. }
-        | Op::Lh { rt, .. }
-        | Op::Lhu { rt, .. }
-        | Op::Lui { rt, .. }
-        | Op::Li { rt, .. }
-        | Op::Addiu { rt, .. }
-        | Op::Andi { rt, .. }
-        | Op::Ori { rt, .. }
-        | Op::Xori { rt, .. }
-        | Op::Slti { rt, .. }
-        | Op::Sltiu { rt, .. } => rt,
-        Op::Move { rd, .. }
-        | Op::Addu { rd, .. }
-        | Op::Subu { rd, .. }
-        | Op::Mul { rd, .. }
-        | Op::Div { rd, .. }
-        | Op::Rem { rd, .. }
-        | Op::And { rd, .. }
-        | Op::Or { rd, .. }
-        | Op::Xor { rd, .. }
-        | Op::Nor { rd, .. }
-        | Op::Slt { rd, .. }
-        | Op::Sltu { rd, .. }
-        | Op::Sll { rd, .. }
-        | Op::Srl { rd, .. }
-        | Op::Sra { rd, .. }
-        | Op::Sllv { rd, .. }
-        | Op::Srlv { rd, .. }
-        | Op::Srav { rd, .. } => rd,
-        Op::Sw { .. } | Op::SwNp { .. } | Op::Sb { .. } | Op::Sh { .. } | Op::Nop => return None,
-        // Fused and probe ops do not exist before fuse_body.
-        other => unreachable!("fused op {other:?} before fuse_body"),
-    };
-    (reg & 31 != 0).then_some(reg)
-}
-
-/// The decode-time coalescing pass (probe elimination, part a).
-///
-/// Scans the unfused body for maximal runs of word accesses (`lw`/
-/// `sw`) through one base register whose constant offsets span less
-/// than one cache line — the static proof that a single dynamic line
-/// can cover the whole run. A run ends conservatively at:
-///
-/// - any other memory access (it could alias the group's set, and an
-///   intervening non-MRU access would invalidate the skipped members'
-///   MRU-hit guarantee);
-/// - any write to the base register (members' addresses would no
-///   longer share the leader's base value);
-/// - a sub-word access even through the same base (kept out of groups
-///   so member ops stay word-sized; it ends the run like any other
-///   access);
-/// - the end of the body.
-///
-/// Runs of two or more members become a [`Group`]: the leader is
-/// rewritten to its probe-carrying (`…Pr`) form — the group's single
-/// cache probe rides the leader's own dispatch, costing zero extra
-/// ops — and every later member to its probe-free (`…Np`) form.
-/// Because the base is constant across the run, whether the offset
-/// span *actually* falls within one line is decided by the probe at
-/// runtime from the two extreme addresses; decode only guarantees the
-/// span is narrow enough for that check to be able to succeed, and
-/// the bail-out replays per-member probes when it does not.
-fn coalesce_body(body: &mut [Op], line_bytes: u32) -> Vec<Group> {
-    struct Pending {
-        base: u8,
-        min_off: i32,
-        max_off: i32,
-        /// Body indices of the member ops, in program order.
-        members: Vec<usize>,
-    }
-    let mut groups: Vec<Group> = Vec::new();
-    let mut pending: Option<Pending> = None;
-    let line_span = line_bytes as i32;
-
-    let mut flush = |body: &mut [Op], pending: &mut Option<Pending>| {
-        let Some(p) = pending.take() else { return };
-        if p.members.len() < 2 {
-            return;
-        }
-        let members: Box<[Member]> = p
-            .members
-            .iter()
-            .map(|&i| match body[i] {
-                Op::Lw { off, at, .. } => Member {
-                    off,
-                    at,
-                    is_load: true,
-                },
-                Op::Sw { off, at, .. } => Member {
-                    off,
-                    at,
-                    is_load: false,
-                },
-                ref other => unreachable!("non-word group member {other:?}"),
-            })
-            .collect();
-        let gid = u32::try_from(groups.len()).expect("group id overflow");
-        for (mi, &i) in p.members.iter().enumerate() {
-            body[i] = match (mi, body[i]) {
-                (0, Op::Lw { rt, base, off, .. }) => Op::LwPr { rt, base, off, gid },
-                (0, Op::Sw { rt, base, off, .. }) => Op::SwPr { rt, base, off, gid },
-                (_, Op::Lw { rt, base, off, at }) => Op::LwNp { rt, base, off, at },
-                (_, Op::Sw { rt, base, off, at }) => Op::SwNp { rt, base, off, at },
-                (_, ref other) => unreachable!("non-word group member {other:?}"),
-            };
-        }
-        let min_off = p.min_off as u32;
-        let aligned = members
-            .iter()
-            .all(|mb| mb.off.wrapping_sub(min_off) & 3 == 0);
-        groups.push(Group {
-            base: p.base,
-            min_off,
-            max_off: p.max_off as u32,
-            pred_at: members[0].at,
-            members,
-            aligned,
-        });
-    };
-
-    for i in 0..body.len() {
-        let op = body[i];
-        match op {
-            Op::Lw { rt, base, off, .. } | Op::Sw { rt, base, off, .. } => {
-                let is_load = matches!(op, Op::Lw { .. });
-                let off = off as i32;
-                let joined = match &mut pending {
-                    Some(p) if p.base == base => {
-                        let min = p.min_off.min(off);
-                        let max = p.max_off.max(off);
-                        if max - min < line_span {
-                            p.min_off = min;
-                            p.max_off = max;
-                            p.members.push(i);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    _ => false,
-                };
-                if !joined {
-                    flush(body, &mut pending);
-                    pending = Some(Pending {
-                        base,
-                        min_off: off,
-                        max_off: off,
-                        members: vec![i],
-                    });
-                }
-                // A load that overwrites its own base ends the run
-                // *after* itself: its access still uses the old base,
-                // but later members would not.
-                if is_load && rt & 31 != 0 && rt == base {
-                    flush(body, &mut pending);
-                }
-            }
-            Op::Lb { .. } | Op::Lbu { .. } | Op::Lh { .. } | Op::Lhu { .. } => {
-                flush(body, &mut pending);
-                // The sub-word load may also write a pending base, but
-                // the group was already ended by the access itself.
-                pending = None;
-            }
-            Op::Sb { .. } | Op::Sh { .. } => {
-                flush(body, &mut pending);
-                pending = None;
-            }
-            ref alu => {
-                if let (Some(p), Some(rd)) = (&pending, op_writes(alu)) {
-                    if rd == p.base {
-                        flush(body, &mut pending);
-                    }
-                }
-            }
-        }
-    }
-    flush(body, &mut pending);
-    groups
 }
 
 /// Folds a trailing compare into a `beq`/`bne`-against-`$zero`
@@ -1399,340 +805,7 @@ fn fuse_body(body: Vec<Op>) -> Vec<Op> {
             None => out.push(op),
         }
     }
-    fuse_quads(out)
-}
-
-/// Second fusion pass: greedy left-to-right pairing of adjacent
-/// *fused* ops into quad macro-ops (see the `…NN`/`…PN`/… variants).
-/// Purely a dispatch-count optimization — each quad executes its two
-/// halves' code verbatim in program order, so accounting and trap
-/// identity are untouched.
-fn fuse_quads(body: Vec<Op>) -> Vec<Op> {
-    let mut out = Vec::with_capacity(body.len());
-    let mut iter = body.into_iter().peekable();
-    while let Some(op) = iter.next() {
-        let fused = iter.peek().and_then(|next| fuse_quad(op, *next));
-        match fused {
-            Some(f) => {
-                iter.next();
-                out.push(f);
-            }
-            None => out.push(op),
-        }
-    }
-    fuse_octs(out)
-}
-
-/// Third fusion pass: greedy left-to-right pairing of adjacent quads
-/// (or a quad and a trailing fused pair) into octo macro-ops. Same
-/// contract as [`fuse_quads`]: pure dispatch-count reduction.
-fn fuse_octs(body: Vec<Op>) -> Vec<Op> {
-    let mut out = Vec::with_capacity(body.len());
-    let mut iter = body.into_iter().peekable();
-    while let Some(op) = iter.next() {
-        let fused = iter.peek().and_then(|next| fuse_oct(op, *next));
-        match fused {
-            Some(f) => {
-                iter.next();
-                out.push(f);
-            }
-            None => out.push(op),
-        }
-    }
     out
-}
-
-fn fuse_oct(a: Op, b: Op) -> Option<Op> {
-    Some(match (a, b) {
-        (
-            Op::LwAddiuLwSllPN {
-                a_rt,
-                a_base,
-                a_rt2,
-                a_rs2,
-                a_off,
-                a_gid,
-                a_imm,
-                b_rt,
-                b_base,
-                b_rd,
-                b_rt2,
-                b_shamt,
-                b_off,
-                b_at,
-            },
-            Op::AdduLwAdduSwQP {
-                a_rd: c_rd,
-                a_rs: c_rs,
-                a_rt: c_rt,
-                a_rt2: c_rt2,
-                a_base: c_base,
-                a_off: c_off,
-                a_at: c_at,
-                b_rd: d_rd,
-                b_rs: d_rs,
-                b_rt: d_rt,
-                b_rt2: d_rt2,
-                b_base: d_base,
-                b_off: d_off,
-                b_gid: d_gid,
-            },
-        ) => Op::LwAddiuLwSllAdduLwAdduSwPNQP {
-            a_rt,
-            a_base,
-            a_rt2,
-            a_rs2,
-            a_off,
-            a_gid,
-            a_imm,
-            b_rt,
-            b_base,
-            b_rd,
-            b_rt2,
-            b_shamt,
-            b_off,
-            b_at,
-            c_rd,
-            c_rs,
-            c_rt,
-            c_rt2,
-            c_base,
-            c_off,
-            c_at,
-            d_rd,
-            d_rs,
-            d_rt,
-            d_rt2,
-            d_base,
-            d_off,
-            d_gid,
-        },
-        (
-            Op::LwLiAdduSwNN {
-                l_rt,
-                l_base,
-                l_rt2,
-                l_off,
-                l_at,
-                l_imm,
-                s_rd,
-                s_rs,
-                s_rt,
-                s_rt2,
-                s_base,
-                s_off,
-                s_at,
-            },
-            Op::LwLiNp {
-                rt: t_rt,
-                base: t_base,
-                rt2: t_rt2,
-                off: t_off,
-                at: t_at,
-                imm: t_imm,
-            },
-        ) => Op::LwLiAdduSwLwLiNNN {
-            l_rt,
-            l_base,
-            l_rt2,
-            l_off,
-            l_at,
-            l_imm,
-            s_rd,
-            s_rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-            t_rt,
-            t_base,
-            t_rt2,
-            t_off,
-            t_at,
-            t_imm,
-            // No register is written between the two address
-            // computations, so equal (base, off) at decode time means
-            // equal addresses at run time.
-            fwd: s_base == t_base && s_off == t_off,
-        },
-        _ => return None,
-    })
-}
-
-fn fuse_quad(a: Op, b: Op) -> Option<Op> {
-    Some(match (a, b) {
-        (
-            Op::LwLiNp {
-                rt,
-                base,
-                rt2,
-                off,
-                at,
-                imm,
-            },
-            Op::AdduSwNp {
-                rd,
-                rs,
-                rt: s_rt,
-                rt2: s_rt2,
-                base: s_base,
-                off: s_off,
-                at: s_at,
-            },
-        ) => Op::LwLiAdduSwNN {
-            l_rt: rt,
-            l_base: base,
-            l_rt2: rt2,
-            l_off: off,
-            l_at: at,
-            l_imm: imm,
-            s_rd: rd,
-            s_rs: rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-        },
-        (
-            Op::LwLiPr {
-                rt,
-                base,
-                rt2,
-                off,
-                gid,
-                imm,
-            },
-            Op::AdduSwNp {
-                rd,
-                rs,
-                rt: s_rt,
-                rt2: s_rt2,
-                base: s_base,
-                off: s_off,
-                at: s_at,
-            },
-        ) => Op::LwLiAdduSwPN {
-            l_rt: rt,
-            l_base: base,
-            l_rt2: rt2,
-            l_off: off,
-            l_gid: gid,
-            l_imm: imm,
-            s_rd: rd,
-            s_rs: rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-        },
-        (
-            Op::LwLiNp {
-                rt,
-                base,
-                rt2,
-                off,
-                at,
-                imm,
-            },
-            Op::AdduSwPr {
-                rd,
-                rs,
-                rt: s_rt,
-                rt2: s_rt2,
-                base: s_base,
-                off: s_off,
-                gid: s_gid,
-            },
-        ) => Op::LwLiAdduSwNP {
-            l_rt: rt,
-            l_base: base,
-            l_rt2: rt2,
-            l_off: off,
-            l_at: at,
-            l_imm: imm,
-            s_rd: rd,
-            s_rs: rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_gid,
-        },
-        (
-            Op::LwAddiuPr {
-                rt,
-                base,
-                rt2,
-                rs2,
-                off,
-                gid,
-                imm,
-            },
-            Op::LwSllNp {
-                rt: b_rt,
-                base: b_base,
-                rd: b_rd,
-                rt2: b_rt2,
-                shamt: b_shamt,
-                off: b_off,
-                at: b_at,
-            },
-        ) => Op::LwAddiuLwSllPN {
-            a_rt: rt,
-            a_base: base,
-            a_rt2: rt2,
-            a_rs2: rs2,
-            a_off: off,
-            a_gid: gid,
-            a_imm: imm,
-            b_rt,
-            b_base,
-            b_rd,
-            b_rt2,
-            b_shamt,
-            b_off,
-            b_at,
-        },
-        (
-            Op::AdduLw {
-                rd,
-                rs,
-                rt,
-                rt2,
-                base,
-                off,
-                at,
-            },
-            Op::AdduSwPr {
-                rd: b_rd,
-                rs: b_rs,
-                rt: b_rt,
-                rt2: b_rt2,
-                base: b_base,
-                off: b_off,
-                gid: b_gid,
-            },
-        ) => Op::AdduLwAdduSwQP {
-            a_rd: rd,
-            a_rs: rs,
-            a_rt: rt,
-            a_rt2: rt2,
-            a_base: base,
-            a_off: off,
-            a_at: at,
-            b_rd,
-            b_rs,
-            b_rt,
-            b_rt2,
-            b_base,
-            b_off,
-            b_gid,
-        },
-        _ => return None,
-    })
 }
 
 fn fuse_pair(a: Op, b: Op) -> Option<Op> {
@@ -1834,164 +907,6 @@ fn fuse_pair(a: Op, b: Op) -> Option<Op> {
             rd2,
             rs,
             rt2,
-        },
-        // Probe-free group members fuse exactly like their probed
-        // counterparts — coalescing runs before this pass and marks
-        // members in place, so without these arms every group would
-        // forfeit its pair fusion.
-        (Op::LwNp { rt, base, off, at }, Op::Li { rt: rt2, imm }) => Op::LwLiNp {
-            rt,
-            base,
-            rt2,
-            off,
-            at,
-            imm,
-        },
-        (
-            Op::LwNp { rt, base, off, at },
-            Op::Addiu {
-                rt: rt2,
-                rs: rs2,
-                imm,
-            },
-        ) => Op::LwAddiuNp {
-            rt,
-            base,
-            rt2,
-            rs2,
-            off,
-            at,
-            imm,
-        },
-        (Op::LwNp { rt, base, off, at }, Op::Sll { rd, rt: rt2, shamt }) => Op::LwSllNp {
-            rt,
-            base,
-            rd,
-            rt2,
-            shamt: shamt as u8,
-            off,
-            at,
-        },
-        (Op::LwNp { rt, base, off, at }, Op::Addu { rd, rs, rt: rt2 }) => Op::LwAdduNp {
-            rt,
-            base,
-            rd,
-            rs,
-            rt2,
-            off,
-            at,
-        },
-        (
-            Op::Addu { rd, rs, rt },
-            Op::LwNp {
-                rt: rt2,
-                base,
-                off,
-                at,
-            },
-        ) => Op::AdduLwNp {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            at,
-        },
-        (
-            Op::Addu { rd, rs, rt },
-            Op::SwNp {
-                rt: rt2,
-                base,
-                off,
-                at,
-            },
-        ) => Op::AdduSwNp {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            at,
-        },
-        // Group leaders fuse the same way, keeping the probe riding
-        // the fused dispatch.
-        (Op::LwPr { rt, base, off, gid }, Op::Li { rt: rt2, imm }) => Op::LwLiPr {
-            rt,
-            base,
-            rt2,
-            off,
-            gid,
-            imm,
-        },
-        (
-            Op::LwPr { rt, base, off, gid },
-            Op::Addiu {
-                rt: rt2,
-                rs: rs2,
-                imm,
-            },
-        ) => Op::LwAddiuPr {
-            rt,
-            base,
-            rt2,
-            rs2,
-            off,
-            gid,
-            imm,
-        },
-        (Op::LwPr { rt, base, off, gid }, Op::Sll { rd, rt: rt2, shamt }) => Op::LwSllPr {
-            rt,
-            base,
-            rd,
-            rt2,
-            shamt: shamt as u8,
-            off,
-            gid,
-        },
-        (Op::LwPr { rt, base, off, gid }, Op::Addu { rd, rs, rt: rt2 }) => Op::LwAdduPr {
-            rt,
-            base,
-            rd,
-            rs,
-            rt2,
-            off,
-            gid,
-        },
-        (
-            Op::Addu { rd, rs, rt },
-            Op::LwPr {
-                rt: rt2,
-                base,
-                off,
-                gid,
-            },
-        ) => Op::AdduLwPr {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            gid,
-        },
-        (
-            Op::Addu { rd, rs, rt },
-            Op::SwPr {
-                rt: rt2,
-                base,
-                off,
-                gid,
-            },
-        ) => Op::AdduSwPr {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            gid,
         },
         _ => return None,
     })
@@ -2258,28 +1173,20 @@ fn w(m: &mut Machine<'_>, reg: u8, v: u32) {
 /// Executes one straight-line op. `SLOW` routes data accesses through
 /// the full per-access hooks (tracing, prefetch, miss classification);
 /// the fast path batches load/store totals at block retirement.
-/// `SHAPE` (see [`shape`]) statically selects the non-MRU demand walk
-/// matching the run's memory configuration; `groups` is the owning
-/// block's coalescing-group table for [`Op::Probe`].
 #[inline(always)]
-fn exec_op<const SLOW: bool, const SHAPE: u8>(
-    m: &mut Machine<'_>,
-    cv: CacheView,
-    groups: &[Group],
-    op: &Op,
-) -> Result<(), Trap> {
+fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Result<(), Trap> {
     match *op {
         Op::Lw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
         }
         Op::Lb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -2289,7 +1196,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         Op::Lbu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -2299,7 +1206,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         Op::Lh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -2309,7 +1216,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         Op::Lhu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -2319,13 +1226,13 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         Op::Sw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW, SHAPE>(m, cv, at, addr);
+            store_access::<SLOW>(m, cv, at, addr);
             mem_write(m, at, addr, r(m, rt))?;
         }
         Op::Sb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW, SHAPE>(m, cv, at, addr);
+            store_access::<SLOW>(m, cv, at, addr);
             m.mem
                 .write_u8(addr, r(m, rt) as u8)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -2333,7 +1240,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         Op::Sh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW, SHAPE>(m, cv, at, addr);
+            store_access::<SLOW>(m, cv, at, addr);
             m.mem
                 .write_u16(addr, r(m, rt) as u16)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -2391,7 +1298,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, imm);
@@ -2407,7 +1314,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, r(m, rs2).wrapping_add(imm));
@@ -2423,7 +1330,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rt2) << shamt);
@@ -2439,7 +1346,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rs).wrapping_add(r(m, rt2)));
@@ -2456,7 +1363,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
+            load_access::<SLOW>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt2, v);
         }
@@ -2472,7 +1379,7 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW, SHAPE>(m, cv, at, addr);
+            store_access::<SLOW>(m, cv, at, addr);
             mem_write(m, at, addr, r(m, rt2))?;
         }
         Op::LiAddu {
@@ -2496,565 +1403,12 @@ fn exec_op<const SLOW: bool, const SHAPE: u8>(
             w(m, rd, r(m, rt) << shamt);
             w(m, rd2, r(m, rs).wrapping_add(r(m, rt2)));
         }
-        // Probe-free group members: architectural effect only — the
-        // group's Op::Probe already settled the cache side.
-        Op::LwNp { rt, base, off, at } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-        }
-        Op::SwNp { rt, base, off, at } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            arch_write(m, at, addr, r(m, rt))?;
-        }
-        Op::LwLiNp {
-            rt,
-            base,
-            rt2,
-            off,
-            at,
-            imm,
-        } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rt2, imm);
-        }
-        Op::LwAddiuNp {
-            rt,
-            base,
-            rt2,
-            rs2,
-            off,
-            at,
-            imm,
-        } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rt2, r(m, rs2).wrapping_add(imm));
-        }
-        Op::LwSllNp {
-            rt,
-            base,
-            rd,
-            rt2,
-            shamt,
-            off,
-            at,
-        } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rd, r(m, rt2) << shamt);
-        }
-        Op::LwAdduNp {
-            rt,
-            base,
-            rd,
-            rs,
-            rt2,
-            off,
-            at,
-        } => {
-            let at = at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt2)));
-        }
-        Op::AdduLwNp {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            at,
-        } => {
-            let at = at as usize;
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt2, v);
-        }
-        Op::AdduSwNp {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            at,
-        } => {
-            let at = at as usize;
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
-            let addr = r(m, base).wrapping_add(off);
-            arch_write(m, at, addr, r(m, rt2))?;
-        }
-        // Group leaders: the group's single cache probe, then the
-        // leader's own architectural access. Like every access slot
-        // the cache side runs before a potential fault — a trapping
-        // run's results are discarded wholesale, so only the trap's
-        // identity must match the reference.
-        Op::LwPr { rt, base, off, gid } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-        }
-        Op::SwPr { rt, base, off, gid } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            arch_write(m, at, addr, r(m, rt))?;
-        }
-        Op::LwLiPr {
-            rt,
-            base,
-            rt2,
-            off,
-            gid,
-            imm,
-        } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rt2, imm);
-        }
-        Op::LwAddiuPr {
-            rt,
-            base,
-            rt2,
-            rs2,
-            off,
-            gid,
-            imm,
-        } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rt2, r(m, rs2).wrapping_add(imm));
-        }
-        Op::LwSllPr {
-            rt,
-            base,
-            rd,
-            rt2,
-            shamt,
-            off,
-            gid,
-        } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rd, r(m, rt2) << shamt);
-        }
-        Op::LwAdduPr {
-            rt,
-            base,
-            rd,
-            rs,
-            rt2,
-            off,
-            gid,
-        } => {
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt, v);
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt2)));
-        }
-        // The `addu` half executes first: a base written by it is
-        // read by the probe post-write, exactly as the reference
-        // engine orders it.
-        Op::AdduLwPr {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            gid,
-        } => {
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            let v = arch_read(m, at, addr)?;
-            w(m, rt2, v);
-        }
-        Op::AdduSwPr {
-            rd,
-            rs,
-            rt,
-            rt2,
-            base,
-            off,
-            gid,
-        } => {
-            w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
-            let g = &groups[gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, base).wrapping_add(off);
-            arch_write(m, at, addr, r(m, rt2))?;
-        }
-        // Quad macro-ops: the two halves' code verbatim, in program
-        // order.
-        Op::LwLiAdduSwNN {
-            l_rt,
-            l_base,
-            l_rt2,
-            l_off,
-            l_at,
-            l_imm,
-            s_rd,
-            s_rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-        } => {
-            let addr = r(m, l_base).wrapping_add(l_off);
-            let v = arch_read(m, l_at as usize, addr)?;
-            w(m, l_rt, v);
-            w(m, l_rt2, l_imm);
-            w(m, s_rd, r(m, s_rs).wrapping_add(r(m, s_rt)));
-            let addr = r(m, s_base).wrapping_add(s_off);
-            arch_write(m, s_at as usize, addr, r(m, s_rt2))?;
-        }
-        Op::LwLiAdduSwPN {
-            l_rt,
-            l_base,
-            l_rt2,
-            l_off,
-            l_gid,
-            l_imm,
-            s_rd,
-            s_rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-        } => {
-            let g = &groups[l_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, l_base).wrapping_add(l_off);
-            let v = arch_read(m, at, addr)?;
-            w(m, l_rt, v);
-            w(m, l_rt2, l_imm);
-            w(m, s_rd, r(m, s_rs).wrapping_add(r(m, s_rt)));
-            let addr = r(m, s_base).wrapping_add(s_off);
-            arch_write(m, s_at as usize, addr, r(m, s_rt2))?;
-        }
-        Op::LwLiAdduSwNP {
-            l_rt,
-            l_base,
-            l_rt2,
-            l_off,
-            l_at,
-            l_imm,
-            s_rd,
-            s_rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_gid,
-        } => {
-            let addr = r(m, l_base).wrapping_add(l_off);
-            let v = arch_read(m, l_at as usize, addr)?;
-            w(m, l_rt, v);
-            w(m, l_rt2, l_imm);
-            w(m, s_rd, r(m, s_rs).wrapping_add(r(m, s_rt)));
-            let g = &groups[s_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, s_base).wrapping_add(s_off);
-            arch_write(m, at, addr, r(m, s_rt2))?;
-        }
-        Op::LwAddiuLwSllPN {
-            a_rt,
-            a_base,
-            a_rt2,
-            a_rs2,
-            a_off,
-            a_gid,
-            a_imm,
-            b_rt,
-            b_base,
-            b_rd,
-            b_rt2,
-            b_shamt,
-            b_off,
-            b_at,
-        } => {
-            let g = &groups[a_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, a_base).wrapping_add(a_off);
-            let v = arch_read(m, at, addr)?;
-            w(m, a_rt, v);
-            w(m, a_rt2, r(m, a_rs2).wrapping_add(a_imm));
-            let addr = r(m, b_base).wrapping_add(b_off);
-            let v = arch_read(m, b_at as usize, addr)?;
-            w(m, b_rt, v);
-            w(m, b_rd, r(m, b_rt2) << b_shamt);
-        }
-        Op::AdduLwAdduSwQP {
-            a_rd,
-            a_rs,
-            a_rt,
-            a_rt2,
-            a_base,
-            a_off,
-            a_at,
-            b_rd,
-            b_rs,
-            b_rt,
-            b_rt2,
-            b_base,
-            b_off,
-            b_gid,
-        } => {
-            let at = a_at as usize;
-            w(m, a_rd, r(m, a_rs).wrapping_add(r(m, a_rt)));
-            let addr = r(m, a_base).wrapping_add(a_off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
-            let v = mem_read(m, at, addr)?;
-            w(m, a_rt2, v);
-            w(m, b_rd, r(m, b_rs).wrapping_add(r(m, b_rt)));
-            let g = &groups[b_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, b_base).wrapping_add(b_off);
-            arch_write(m, at, addr, r(m, b_rt2))?;
-        }
-        // Octo macro-ops: four halves' code verbatim, in program
-        // order.
-        Op::LwAddiuLwSllAdduLwAdduSwPNQP {
-            a_rt,
-            a_base,
-            a_rt2,
-            a_rs2,
-            a_off,
-            a_gid,
-            a_imm,
-            b_rt,
-            b_base,
-            b_rd,
-            b_rt2,
-            b_shamt,
-            b_off,
-            b_at,
-            c_rd,
-            c_rs,
-            c_rt,
-            c_rt2,
-            c_base,
-            c_off,
-            c_at,
-            d_rd,
-            d_rs,
-            d_rt,
-            d_rt2,
-            d_base,
-            d_off,
-            d_gid,
-        } => {
-            let g = &groups[a_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, a_base).wrapping_add(a_off);
-            let v = arch_read(m, at, addr)?;
-            w(m, a_rt, v);
-            w(m, a_rt2, r(m, a_rs2).wrapping_add(a_imm));
-            let addr = r(m, b_base).wrapping_add(b_off);
-            let v = arch_read(m, b_at as usize, addr)?;
-            w(m, b_rt, v);
-            w(m, b_rd, r(m, b_rt2) << b_shamt);
-            let at = c_at as usize;
-            w(m, c_rd, r(m, c_rs).wrapping_add(r(m, c_rt)));
-            let addr = r(m, c_base).wrapping_add(c_off);
-            load_access::<SLOW, SHAPE>(m, cv, at, addr);
-            let v = mem_read(m, at, addr)?;
-            w(m, c_rt2, v);
-            w(m, d_rd, r(m, d_rs).wrapping_add(r(m, d_rt)));
-            let g = &groups[d_gid as usize];
-            exec_probe::<SHAPE>(m, cv, g);
-            let at = g.pred_at as usize;
-            let addr = r(m, d_base).wrapping_add(d_off);
-            arch_write(m, at, addr, r(m, d_rt2))?;
-        }
-        Op::LwLiAdduSwLwLiNNN {
-            l_rt,
-            l_base,
-            l_rt2,
-            l_off,
-            l_at,
-            l_imm,
-            s_rd,
-            s_rs,
-            s_rt,
-            s_rt2,
-            s_base,
-            s_off,
-            s_at,
-            t_rt,
-            t_base,
-            t_rt2,
-            t_off,
-            t_at,
-            t_imm,
-            fwd,
-        } => {
-            let addr = r(m, l_base).wrapping_add(l_off);
-            let v = arch_read(m, l_at as usize, addr)?;
-            w(m, l_rt, v);
-            w(m, l_rt2, l_imm);
-            w(m, s_rd, r(m, s_rs).wrapping_add(r(m, s_rt)));
-            let addr = r(m, s_base).wrapping_add(s_off);
-            let sv = r(m, s_rt2);
-            arch_write(m, s_at as usize, addr, sv)?;
-            let v = if fwd {
-                sv
-            } else {
-                let addr = r(m, t_base).wrapping_add(t_off);
-                arch_read(m, t_at as usize, addr)?
-            };
-            w(m, t_rt, v);
-            w(m, t_rt2, t_imm);
-        }
     }
     Ok(())
 }
 
-/// Executes one group probe (probe elimination, parts a + b).
-///
-/// With the base register constant across the group (a decode-time
-/// invariant), the two extreme member addresses bound every member
-/// address within a contiguous span narrower than one line. If both
-/// endpoints decode to the same line number, the whole group touches
-/// exactly that line and one answer covers every member:
-///
-/// 1. **Predictor hit** — the leader's `(line, generation)` entry
-///    matches: the line was MRU in its set when the entry was written
-///    and no non-MRU access has happened anywhere since (the global
-///    generation bumps on every slow-path access), so it is still
-///    MRU. Every member is a state-free MRU hit; nothing to do.
-/// 2. **MRU hit** — the set's MRU way holds the line: same
-///    conclusion; also refresh the predictor entry.
-/// 3. **Leader miss/rotation** — one demand access at the leader's
-///    site settles the line (hit-but-not-MRU rotates it to MRU, a
-///    miss fills it and attributes the miss to the leader — exactly
-///    what the reference engine does, since in a same-line group only
-///    the first access can miss); the remaining members are then MRU
-///    hits. The refreshed entry is written with the post-access
-///    generation.
-///
-/// If the endpoints straddle a line boundary this execution, the
-/// static proof does not apply and the probe bails out: every
-/// member's access is replayed individually, in program order, which
-/// is byte-identical to never having coalesced.
-#[inline(always)]
-fn exec_probe<const SHAPE: u8>(m: &mut Machine<'_>, cv: CacheView, g: &Group) {
-    let base = r(m, g.base);
-    let lo = base.wrapping_add(g.min_off);
-    let hi = base.wrapping_add(g.max_off);
-    let line = lo >> cv.set_shift;
-    if line == hi >> cv.set_shift {
-        // The group's span is one line; open the software TLB over it
-        // so member word accesses skip the checked arena walk (purely
-        // architectural — the cache-side answer below is independent).
-        let line_start = line << cv.set_shift;
-        if m.win.base() != line_start {
-            m.win = m.mem.line_window(line_start, 1 << cv.set_shift);
-        }
-        // Certify the members' fast path: window open over this very
-        // line, lowest address aligned, offsets congruent mod 4.
-        // Together these bound every member access inside the window,
-        // aligned — the unchecked read/write contract.
-        m.win_ok = g.aligned && lo & 3 == 0 && m.win.base() == line_start;
-        let entry = (u64::from(m.pred_gen) << 32) | u64::from(line);
-        let slot = g.pred_at as usize;
-        if m.line_pred[slot] == entry {
-            return;
-        }
-        if mru_hit(m, cv, lo) {
-            m.line_pred[slot] = entry;
-            return;
-        }
-        group_access_slow::<SHAPE>(m, g, base, line);
-    } else {
-        m.win_ok = false;
-        group_bailout_slow::<SHAPE>(m, cv, g, base);
-    }
-}
-
-/// The leader's demand access when a same-line group is not already
-/// MRU, plus the predictor refresh. Out of line like the singleton
-/// slow paths.
-#[cold]
-fn group_access_slow<const SHAPE: u8>(m: &mut Machine<'_>, g: &Group, base: u32, line: u32) {
-    let leader = g.members[0];
-    let addr = base.wrapping_add(leader.off);
-    if leader.is_load {
-        load_access_slow::<SHAPE>(m, leader.at as usize, addr);
-    } else {
-        store_access_slow::<SHAPE>(m, addr);
-    }
-    // The access made the line MRU; certify that under the new
-    // generation (the slow access above just bumped it).
-    m.line_pred[g.pred_at as usize] = (u64::from(m.pred_gen) << 32) | u64::from(line);
-}
-
-/// Bail-out: the group's span straddles a line boundary at this
-/// execution, so replay each member's probe individually in program
-/// order — byte-identical to the uncoalesced per-access path.
-#[cold]
-fn group_bailout_slow<const SHAPE: u8>(m: &mut Machine<'_>, cv: CacheView, g: &Group, base: u32) {
-    for member in &*g.members {
-        let addr = base.wrapping_add(member.off);
-        if mru_hit(m, cv, addr) {
-            continue;
-        }
-        if member.is_load {
-            load_access_slow::<SHAPE>(m, member.at as usize, addr);
-        } else {
-            store_access_slow::<SHAPE>(m, addr);
-        }
-    }
-}
-
-/// Architectural 32-bit load for an ordinary (non-coalesced) slot:
-/// the checked arena walk. Singleton slots skip the window try — the
-/// window tracks the line last certified by a *group* probe, which an
-/// uncoalesced slot (typically a different base walking a different
-/// arena) nearly never matches, so the probe would be pure overhead.
+/// Architectural 32-bit load: the checked arena walk, with a fault
+/// attributed to instruction `at`.
 #[inline(always)]
 fn mem_read(m: &mut Machine<'_>, at: usize, addr: u32) -> Result<u32, Trap> {
     m.mem
@@ -3062,7 +1416,7 @@ fn mem_read(m: &mut Machine<'_>, at: usize, addr: u32) -> Result<u32, Trap> {
         .map_err(|fault| Trap::Mem { at, fault })
 }
 
-/// Architectural 32-bit store for an ordinary slot; see [`mem_read`].
+/// Architectural 32-bit store; see [`mem_read`].
 #[inline(always)]
 fn mem_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Trap> {
     m.mem
@@ -3070,50 +1424,16 @@ fn mem_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Tr
         .map_err(|fault| Trap::Mem { at, fault })
 }
 
-/// Architectural 32-bit load for a group member or leader slot. When
-/// the group's probe certified the span ([`Machine::win_ok`]), the
-/// word is read through the window with every check elided; otherwise
-/// the checked arena walk runs. A certificate implies the word is
-/// mapped and aligned, so value and fault behavior are identical
-/// either way.
-#[inline(always)]
-fn arch_read(m: &mut Machine<'_>, at: usize, addr: u32) -> Result<u32, Trap> {
-    if m.win_ok {
-        // SAFETY: the probe certificate bounds `addr` inside the
-        // window's line, 4-aligned (see `exec_probe`), and the base
-        // register is pinned from probe to last member.
-        return Ok(unsafe { m.win.read_unchecked(&m.mem, addr) });
-    }
-    mem_read(m, at, addr)
-}
-
-/// Architectural 32-bit store for a group member or leader slot;
-/// certificate-gated like [`arch_read`].
-#[inline(always)]
-fn arch_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Trap> {
-    if m.win_ok {
-        // SAFETY: same certificate as `arch_read`.
-        unsafe { m.win.write_unchecked(&mut m.mem, addr, v) };
-        return Ok(());
-    }
-    mem_write(m, at, addr, v)
-}
-
 /// Load-slot cache access. Fast path: an access that hits the set's
 /// MRU way changes no replacement state, so it is answered with one
-/// tag compare ([`Cache::mru_tag`]) using the hoisted [`CacheView`]
-/// geometry; everything else funnels through [`Cache::access`]. Only
+/// compare ([`mru_hit`]) using the hoisted [`CacheView`] geometry;
+/// everything else funnels through [`MemorySystem::demand_access`]. Only
 /// misses update counters — `loads`/`dcache_accesses` totals are
 /// batched per block retirement, and per-site hits are reconstructed
 /// at the end of the run as `exec_counts - load_misses` (every
 /// execution of a load site is exactly one access).
 #[inline(always)]
-fn load_access<const SLOW: bool, const SHAPE: u8>(
-    m: &mut Machine<'_>,
-    cv: CacheView,
-    at: usize,
-    addr: u32,
-) {
+fn load_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
     if SLOW {
         m.dcache_load(at, addr);
         return;
@@ -3121,24 +1441,7 @@ fn load_access<const SLOW: bool, const SHAPE: u8>(
     if mru_hit(m, cv, addr) {
         return;
     }
-    load_access_slow::<SHAPE>(m, at, addr);
-}
-
-/// One non-MRU demand access through the statically selected memory
-/// shape (see [`shape`]). Every call advances the line-predictor
-/// generation first: a non-MRU access may change which line is MRU in
-/// its set (rotation, fill, or — with an L2 — back-invalidation), so
-/// every outstanding `(line, generation)` certificate must lapse.
-#[inline]
-fn demand_access_shaped<const SHAPE: u8>(m: &mut Machine<'_>, addr: u32) -> bool {
-    m.bump_pred_gen();
-    match SHAPE {
-        shape::PLAIN_LRU => m.cache.plain_access_lru(addr),
-        shape::PLAIN_PLRU => m.cache.plain_access_plru(addr),
-        shape::PLAIN_RANDOM => m.cache.plain_access_random(addr),
-        shape::L2 => m.cache.demand_access_full(addr).hit,
-        _ => m.cache.demand_access(addr).hit,
-    }
+    load_access_slow(m, at, addr);
 }
 
 /// Non-MRU load access: full memory-system walk plus miss counters.
@@ -3147,8 +1450,8 @@ fn demand_access_shaped<const SHAPE: u8>(m: &mut Machine<'_>, addr: u32) -> bool
 /// identical binaries (the engine loop's register allocation changes
 /// around an opaque call), and the inlined form won.
 #[inline(always)]
-fn load_access_slow<const SHAPE: u8>(m: &mut Machine<'_>, at: usize, addr: u32) {
-    if !demand_access_shaped::<SHAPE>(m, addr) {
+fn load_access_slow(m: &mut Machine<'_>, at: usize, addr: u32) {
+    if !m.cache.demand_access(addr).hit {
         m.result.load_misses[at] += 1;
         m.result.load_misses_total += 1;
         m.result.dcache_misses += 1;
@@ -3157,12 +1460,7 @@ fn load_access_slow<const SHAPE: u8>(m: &mut Machine<'_>, at: usize, addr: u32) 
 
 /// Store-slot cache access; `stores` totals are batched per block.
 #[inline(always)]
-fn store_access<const SLOW: bool, const SHAPE: u8>(
-    m: &mut Machine<'_>,
-    cv: CacheView,
-    at: usize,
-    addr: u32,
-) {
+fn store_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
     if SLOW {
         m.dcache_store(at, addr);
         return;
@@ -3170,13 +1468,13 @@ fn store_access<const SLOW: bool, const SHAPE: u8>(
     if mru_hit(m, cv, addr) {
         return;
     }
-    store_access_slow::<SHAPE>(m, addr);
+    store_access_slow(m, addr);
 }
 
 /// Non-MRU store access. Inlined like [`load_access_slow`].
 #[inline(always)]
-fn store_access_slow<const SHAPE: u8>(m: &mut Machine<'_>, addr: u32) {
-    if !demand_access_shaped::<SHAPE>(m, addr) {
+fn store_access_slow(m: &mut Machine<'_>, addr: u32) {
+    if !m.cache.demand_access(addr).hit {
         m.result.dcache_misses += 1;
     }
 }
@@ -3300,7 +1598,7 @@ fn exec_term(m: &mut Machine<'_>, term: &Term, at: usize, fall: usize) -> Result
 /// traps inside the prefix still surface first) before reporting
 /// [`Trap::StepLimit`] — byte-for-byte the reference engine's
 /// behaviour.
-pub(crate) fn run_blocks<const SLOW: bool, const SHAPE: u8>(
+pub(crate) fn run_blocks<const SLOW: bool>(
     m: &mut Machine<'_>,
     bc: &mut BlockCache,
     max_steps: u64,
@@ -3339,7 +1637,7 @@ pub(crate) fn run_blocks<const SLOW: bool, const SHAPE: u8>(
                 return run_partial(m, start, remaining as usize, max_steps);
             }
             for op in &block.body {
-                exec_op::<SLOW, SHAPE>(m, cv, &block.groups, op)?;
+                exec_op::<SLOW>(m, cv, op)?;
             }
             // The terminator instruction's own index is the final
             // segment's last (fusion and chaining mean body op count
@@ -3387,4 +1685,18 @@ fn run_partial(m: &mut Machine<'_>, start: usize, take: usize, max_steps: u64) -
         m.step()?;
     }
     Err(Trap::StepLimit { limit: max_steps })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::Op;
+
+    /// The dispatch loop streams decoded ops from the block body; the
+    /// widest variants are the fused pairs carrying three 32-bit
+    /// fields, so an op fits in 20 bytes.
+    #[test]
+    fn op_stays_compact() {
+        let size = std::mem::size_of::<Op>();
+        assert!(size <= 20, "Op grew to {size} bytes");
+    }
 }

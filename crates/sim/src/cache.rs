@@ -527,19 +527,7 @@ impl Cache {
         if !matches!(self.repl, Repl::Lru) {
             return self.access_slow_policy(base, assoc, set, tag);
         }
-        self.access_slow_lru(base, assoc, set, tag)
-    }
-
-    /// The true-LRU set walk (the `order` permutation). Split out of
-    /// [`Cache::access_slow`] so the policy-specialized entry points
-    /// can reach it without re-testing the [`Repl`] discriminant.
-    fn access_slow_lru(
-        &mut self,
-        base: usize,
-        assoc: usize,
-        set: u32,
-        tag: u64,
-    ) -> (bool, Option<u64>) {
+        // True LRU: walk the `order` permutation.
         let order = &mut self.order[base..base + assoc];
         let hit_pos = order[1..]
             .iter()
@@ -592,97 +580,6 @@ impl Cache {
         self.tags[base + way] = tag;
         self.repl.touch(set as usize, assoc, way);
         (false, evicted_block(old, set, self.tag_shift))
-    }
-
-    // Policy-specialized non-MRU entry points for the block engine's
-    // shaped dispatch: the caller has already probed (and missed) the
-    // MRU shortcut, so these skip the redundant MRU compare and go
-    // straight to the one walk their policy needs — no `Repl`
-    // discriminant test on the LRU path, one destructure (instead of a
-    // match per touch/victim) on the others. State updates are
-    // identical to [`Cache::access_with_victim`]; profiling
-    // configurations never reach these (they force the slow engine).
-
-    /// Non-MRU access under true LRU. Returns `true` on hit.
-    pub(crate) fn access_nonmru_lru(&mut self, addr: u32) -> bool {
-        debug_assert!(!self.profiling, "profiling forces the slow engine");
-        debug_assert!(matches!(self.repl, Repl::Lru));
-        let block = u64::from(addr >> self.set_shift);
-        let set = (block as u32) & self.set_mask;
-        let tag = block >> self.tag_shift;
-        debug_assert_ne!(self.mru[set as usize], block, "caller probes MRU first");
-        let assoc = self.cfg.assoc as usize;
-        let (hit, _) = self.access_slow_lru(set as usize * assoc, assoc, set, tag);
-        self.mru[set as usize] = block;
-        hit
-    }
-
-    /// Non-MRU access under tree-PLRU. Returns `true` on hit.
-    pub(crate) fn access_nonmru_plru(&mut self, addr: u32) -> bool {
-        debug_assert!(!self.profiling, "profiling forces the slow engine");
-        let block = u64::from(addr >> self.set_shift);
-        let set = (block as u32) & self.set_mask;
-        let tag = block >> self.tag_shift;
-        debug_assert_ne!(self.mru[set as usize], block, "caller probes MRU first");
-        let assoc = self.cfg.assoc as usize;
-        let base = set as usize * assoc;
-        let Repl::Plru(plru) = &mut self.repl else {
-            unreachable!("PLRU shape dispatched without the PLRU policy")
-        };
-        let hit = match (0..assoc).find(|&w| self.tags[base + w] == tag) {
-            Some(way) => {
-                plru.touch(set as usize, assoc, way);
-                self.hits += 1;
-                true
-            }
-            None => {
-                let way = match (0..assoc).find(|&w| self.tags[base + w] == INVALID_TAG) {
-                    Some(w) => w,
-                    None => plru.victim(set as usize, assoc),
-                };
-                self.tags[base + way] = tag;
-                plru.touch(set as usize, assoc, way);
-                self.misses += 1;
-                false
-            }
-        };
-        self.mru[set as usize] = block;
-        hit
-    }
-
-    /// Non-MRU access under random eviction. Returns `true` on hit.
-    /// Hits draw nothing from the PRNG (as in the generic walk), so
-    /// the victim stream stays byte-identical to the reference engine.
-    pub(crate) fn access_nonmru_random(&mut self, addr: u32) -> bool {
-        debug_assert!(!self.profiling, "profiling forces the slow engine");
-        let block = u64::from(addr >> self.set_shift);
-        let set = (block as u32) & self.set_mask;
-        let tag = block >> self.tag_shift;
-        debug_assert_ne!(self.mru[set as usize], block, "caller probes MRU first");
-        let assoc = self.cfg.assoc as usize;
-        let base = set as usize * assoc;
-        let Repl::Random(rng) = &mut self.repl else {
-            unreachable!("random shape dispatched without the random policy")
-        };
-        let hit = match (0..assoc).find(|&w| self.tags[base + w] == tag) {
-            Some(way) => {
-                rng.touch(set as usize, assoc, way);
-                self.hits += 1;
-                true
-            }
-            None => {
-                let way = match (0..assoc).find(|&w| self.tags[base + w] == INVALID_TAG) {
-                    Some(w) => w,
-                    None => rng.victim(set as usize, assoc),
-                };
-                self.tags[base + way] = tag;
-                rng.touch(set as usize, assoc, way);
-                self.misses += 1;
-                false
-            }
-        };
-        self.mru[set as usize] = block;
-        hit
     }
 
     /// Removes `block` if present, reporting whether it was. Used by

@@ -14,8 +14,8 @@ use dl_mips::reg::Reg;
 
 use crate::block::{self, BlockCache, BlockStats, Engine};
 use crate::cache::CacheConfig;
-use crate::mem::{LineWindow, MemFault, Memory};
-use crate::memory::{MemoryConfig, MemorySystem, Policy};
+use crate::mem::{MemFault, Memory};
+use crate::memory::{MemoryConfig, MemorySystem};
 use crate::observe::{MissObservatory, ObserveConfig};
 use crate::reuse::ReuseMeasurement;
 use crate::stats::RunResult;
@@ -146,25 +146,6 @@ pub struct RunConfig {
     /// Which interpreter core executes the run. Both produce identical
     /// results; see [`Engine`]. The default honours `DL_SIM_ENGINE`.
     pub engine: Engine,
-    /// Enables the block engine's probe-elimination layer (decode-time
-    /// same-line coalescing, the per-site line predictor, and the
-    /// shape-specialized memory walk). Results are byte-identical
-    /// either way — this is an escape hatch for perf triage and for
-    /// the differential suites. The default honours `DL_PROBE_FAST`
-    /// (`off`/`0`/`false`/`no` disables; anything else, or unset,
-    /// enables).
-    pub probe_fast: bool,
-}
-
-/// Resolves the `DL_PROBE_FAST` default for [`RunConfig::probe_fast`].
-fn probe_fast_from_env() -> bool {
-    match std::env::var("DL_PROBE_FAST") {
-        Ok(v) => !matches!(
-            v.to_ascii_lowercase().as_str(),
-            "off" | "0" | "false" | "no"
-        ),
-        Err(_) => true,
-    }
 }
 
 impl Default for RunConfig {
@@ -180,7 +161,6 @@ impl Default for RunConfig {
             observe: None,
             reuse_profile: false,
             engine: Engine::from_env(),
-            probe_fast: probe_fast_from_env(),
         }
     }
 }
@@ -237,34 +217,6 @@ pub struct Machine<'p> {
     reusing: bool,
     // Stride prefetcher configured: every demand load trains the table.
     striding: bool,
-    // Probe-elimination layer enabled (block engine fast path only).
-    probe_fast: bool,
-    // The per-site last-line predictor: pred[site] packs
-    // (generation << 32) | line for the line the site's coalescing
-    // group last certified as MRU. Empty unless the block engine runs
-    // with probe elimination. `u64::MAX` can never match a live entry
-    // (line numbers fit in 32 - block-shift bits), so it doubles as
-    // the invalid pattern.
-    pub(crate) line_pred: Box<[u64]>,
-    // The predictor's global generation: bumped on every slow-path
-    // (non-MRU) demand access, so a matching entry proves its line is
-    // still the MRU of its set. See `Machine::bump_pred_gen`.
-    pub(crate) pred_gen: u32,
-    // Software TLB over the line most recently certified by a group
-    // probe: member word accesses inside it skip the arena walk and
-    // bounds check. Purely architectural — never consulted by the
-    // cache model — so it is safe to leave stale (a miss just falls
-    // back to the checked path).
-    pub(crate) win: LineWindow,
-    // The active probe certificate: true while the most recent group
-    // probe proved its whole span mapped, 4-aligned, and inside
-    // `win`. Member accesses then skip every check; any probe that
-    // cannot prove it (line straddle, unmapped line, misaligned or
-    // incongruent span) clears it and members take the checked walk.
-    // Sound because group members never interleave across groups
-    // (groups are maximal contiguous runs) and the base register is
-    // pinned from probe to last member by the coalescing rules.
-    pub(crate) win_ok: bool,
 }
 
 impl<'p> Machine<'p> {
@@ -324,28 +276,6 @@ impl<'p> Machine<'p> {
             observing: config.observe.is_some(),
             reusing: config.reuse_profile,
             striding: config.memory.prefetch.is_some_and(|pf| pf.degree > 0),
-            probe_fast: config.probe_fast,
-            line_pred: if config.engine == Engine::Block && config.probe_fast {
-                vec![u64::MAX; program.insts.len()].into_boxed_slice()
-            } else {
-                Box::new([])
-            },
-            pred_gen: 0,
-            win: LineWindow::INVALID,
-            win_ok: false,
-        }
-    }
-
-    /// Advances the line-predictor generation, lapsing every
-    /// outstanding `(line, generation)` certificate. Called on every
-    /// slow-path demand access. On the (astronomically rare) 32-bit
-    /// wrap the whole table is cleared so a stale entry can never
-    /// alias a recycled generation value.
-    #[inline]
-    pub(crate) fn bump_pred_gen(&mut self) {
-        self.pred_gen = self.pred_gen.wrapping_add(1);
-        if self.pred_gen == 0 {
-            self.line_pred.fill(u64::MAX);
         }
     }
 
@@ -845,42 +775,19 @@ impl<'p> Machine<'p> {
     /// prefetch, miss classification and the observatory need
     /// per-access hooks, so any of them selects the slow dispatch
     /// instantiation; the common configuration runs the fully batched
-    /// fast path, shape-specialized to the memory configuration (see
-    /// [`block::shape`]) with the probe-elimination layer on unless
-    /// [`RunConfig::probe_fast`] turned it off.
+    /// fast path.
     fn run_block_engine(&mut self, max_steps: u64) -> Result<BlockStats, Trap> {
-        use block::shape;
         let slow = self.tracing
             || self.has_prefetch
             || self.classifying
             || self.observing
             || self.reusing
             || self.cache.forces_slow();
-        let line_bytes = 1u32 << self.cache.hot_params();
-        let coalesce = self.probe_fast && !slow;
-        let mut cache = BlockCache::new(self.program.insts.len(), line_bytes, coalesce);
+        let mut cache = BlockCache::new(self.program.insts.len());
         if slow {
-            block::run_blocks::<true, { shape::FULL }>(self, &mut cache, max_steps)?;
-        } else if !self.probe_fast {
-            // Escape hatch: the pre-probe-elimination fast path, with
-            // the generic demand walk and no coalescing.
-            block::run_blocks::<false, { shape::FULL }>(self, &mut cache, max_steps)?;
-        } else if !self.cache.is_simple() {
-            block::run_blocks::<false, { shape::L2 }>(self, &mut cache, max_steps)?;
+            block::run_blocks::<true>(self, &mut cache, max_steps)?;
         } else {
-            match self.cache.policy() {
-                Policy::Lru => {
-                    block::run_blocks::<false, { shape::PLAIN_LRU }>(self, &mut cache, max_steps)?;
-                }
-                Policy::Plru => {
-                    block::run_blocks::<false, { shape::PLAIN_PLRU }>(self, &mut cache, max_steps)?;
-                }
-                Policy::Random => {
-                    block::run_blocks::<false, { shape::PLAIN_RANDOM }>(
-                        self, &mut cache, max_steps,
-                    )?;
-                }
-            }
+            block::run_blocks::<false>(self, &mut cache, max_steps)?;
         }
         cache.flush_exec_counts(&mut self.result);
         if !slow {

@@ -31,6 +31,7 @@
 //! assert!(result.instructions >= 200);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block;

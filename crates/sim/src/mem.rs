@@ -94,45 +94,6 @@ impl Memory {
         self.heap_brk
     }
 
-    /// Builds a [`LineWindow`] over `[start, start + len)` if that
-    /// whole span is 4-aligned and mapped inside a single arena;
-    /// otherwise returns the invalid window (every lookup misses).
-    ///
-    /// The window stays valid for the lifetime of this `Memory`:
-    /// arenas only ever grow (`malloc` extends the heap; data and
-    /// stack are fixed at construction), so an offset range proven
-    /// in-bounds here remains in-bounds forever, and lookups
-    /// re-borrow the arena on every access so a reallocated heap
-    /// buffer is re-read through the fresh reference.
-    #[must_use]
-    pub fn line_window(&self, start: u32, len: u32) -> LineWindow {
-        if len < 4 || !start.is_multiple_of(4) {
-            return LineWindow::INVALID;
-        }
-        let (bytes, base, arena) = if start >= STACK_LIMIT {
-            (&self.stack, STACK_LIMIT, Arena::Stack)
-        } else if start >= HEAP_BASE {
-            (&self.heap, HEAP_BASE, Arena::Heap)
-        } else if start >= DATA_BASE {
-            (&self.data, DATA_BASE, Arena::Data)
-        } else {
-            return LineWindow::INVALID;
-        };
-        let off = (start - base) as usize;
-        let Some(end) = off.checked_add(len as usize) else {
-            return LineWindow::INVALID;
-        };
-        if end > bytes.len() {
-            return LineWindow::INVALID;
-        }
-        LineWindow {
-            base: start,
-            max: len - 4,
-            arena,
-            off,
-        }
-    }
-
     #[inline]
     fn slot(&mut self, addr: u32, len: u32) -> Result<&mut [u8], MemFault> {
         let (arena, base): (&mut Vec<u8>, u32) = if addr >= STACK_LIMIT {
@@ -228,158 +189,6 @@ impl Memory {
         Self::check_align(addr, 4)?;
         self.slot(addr, 4)?.copy_from_slice(&v.to_le_bytes());
         Ok(())
-    }
-}
-
-/// Which arena a [`LineWindow`] points into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arena {
-    Stack,
-    Heap,
-    Data,
-}
-
-/// A one-entry software TLB covering a single span of simulated
-/// memory that [`Memory::line_window`] proved mapped, 4-aligned, and
-/// contained in one arena.
-///
-/// Lookups hit only for 4-aligned word accesses inside the span;
-/// everything else misses and must take the checked
-/// [`Memory::read_u32`] / [`Memory::write_u32`] path. A hit reads or
-/// writes the arena directly with the bounds check elided.
-///
-/// The window stores an arena tag plus a byte offset rather than a
-/// raw pointer: re-borrowing the arena on every access costs one
-/// perfectly predicted branch, keeps the type safe to hold across
-/// arbitrary machine steps (a reallocated heap buffer is re-read
-/// through the fresh reference), and measures no slower than a
-/// cached-pointer variant on the hot path.
-///
-/// The invalid window has `base = 1`: any 4-aligned address then
-/// yields a delta congruent to 3 mod 4, so the alignment test
-/// rejects every lookup.
-#[derive(Debug, Clone, Copy)]
-pub struct LineWindow {
-    /// Simulated address of the first window byte (4-aligned), or 1
-    /// for the invalid window.
-    base: u32,
-    /// Largest valid byte delta from `base` (span length minus 4).
-    max: u32,
-    arena: Arena,
-    /// Byte offset of `base` within the arena.
-    off: usize,
-}
-
-impl LineWindow {
-    /// The window that misses every lookup.
-    pub const INVALID: LineWindow = LineWindow {
-        base: 1,
-        max: 0,
-        arena: Arena::Stack,
-        off: 0,
-    };
-
-    /// Simulated address of the first window byte.
-    #[must_use]
-    pub fn base(&self) -> u32 {
-        self.base
-    }
-
-    /// Reads a 32-bit little-endian word through the window, or
-    /// `None` if `addr` is outside the span or misaligned.
-    #[inline(always)]
-    #[must_use]
-    pub fn read(&self, mem: &Memory, addr: u32) -> Option<u32> {
-        let d = addr.wrapping_sub(self.base);
-        if d <= self.max && d & 3 == 0 {
-            let off = self.off + d as usize;
-            let bytes: &[u8] = match self.arena {
-                Arena::Stack => &mem.stack,
-                Arena::Heap => &mem.heap,
-                Arena::Data => &mem.data,
-            };
-            // SAFETY: `line_window` proved `off..off + max + 4` was
-            // in-bounds of this arena, arenas never shrink, and
-            // `d <= max` bounds the delta, so `off..off + 4` is
-            // in-bounds.
-            let b = unsafe { bytes.get_unchecked(off..off + 4) };
-            Some(u32::from_le_bytes(b.try_into().unwrap()))
-        } else {
-            None
-        }
-    }
-
-    /// Reads a 32-bit little-endian word through the window with the
-    /// span and alignment checks elided.
-    ///
-    /// # Safety
-    ///
-    /// `addr` must be 4-aligned and inside the window span (the probe
-    /// layer certifies both before taking this path: the group's
-    /// same-line proof bounds every member address inside the
-    /// window's line, and the aligned-span check covers alignment).
-    #[inline(always)]
-    #[must_use]
-    pub unsafe fn read_unchecked(&self, mem: &Memory, addr: u32) -> u32 {
-        let off = self.off + addr.wrapping_sub(self.base) as usize;
-        let bytes: &[u8] = match self.arena {
-            Arena::Stack => &mem.stack,
-            Arena::Heap => &mem.heap,
-            Arena::Data => &mem.data,
-        };
-        // SAFETY: in-bounds per the caller contract plus the
-        // `line_window` invariant (arenas never shrink).
-        let b = unsafe { bytes.get_unchecked(off..off + 4) };
-        u32::from_le_bytes(b.try_into().unwrap())
-    }
-
-    /// Writes a 32-bit little-endian word through the window with the
-    /// span and alignment checks elided.
-    ///
-    /// # Safety
-    ///
-    /// Same contract as [`LineWindow::read_unchecked`].
-    #[inline(always)]
-    pub unsafe fn write_unchecked(&self, mem: &mut Memory, addr: u32, v: u32) {
-        let off = self.off + addr.wrapping_sub(self.base) as usize;
-        let bytes: &mut [u8] = match self.arena {
-            Arena::Stack => &mut mem.stack,
-            Arena::Heap => &mut mem.heap,
-            Arena::Data => &mut mem.data,
-        };
-        // SAFETY: in-bounds per the caller contract plus the
-        // `line_window` invariant.
-        let b = unsafe { bytes.get_unchecked_mut(off..off + 4) };
-        b.copy_from_slice(&v.to_le_bytes());
-    }
-
-    /// Writes a 32-bit little-endian word through the window;
-    /// returns `false` (leaving memory untouched) if `addr` is
-    /// outside the span or misaligned.
-    #[inline(always)]
-    #[must_use]
-    pub fn write(&self, mem: &mut Memory, addr: u32, v: u32) -> bool {
-        let d = addr.wrapping_sub(self.base);
-        if d <= self.max && d & 3 == 0 {
-            let off = self.off + d as usize;
-            let bytes: &mut [u8] = match self.arena {
-                Arena::Stack => &mut mem.stack,
-                Arena::Heap => &mut mem.heap,
-                Arena::Data => &mut mem.data,
-            };
-            // SAFETY: same invariant as `read`.
-            let b = unsafe { bytes.get_unchecked_mut(off..off + 4) };
-            b.copy_from_slice(&v.to_le_bytes());
-            true
-        } else {
-            false
-        }
-    }
-}
-
-impl Default for LineWindow {
-    fn default() -> Self {
-        LineWindow::INVALID
     }
 }
 

@@ -464,9 +464,6 @@ pub(crate) struct MemorySystem {
     /// Plain single-L1 fast configuration: no L2, no prefetcher of
     /// either kind. Gates the one branch the demand path adds.
     simple: bool,
-    /// The configured replacement policy, kept for the block engine's
-    /// shape dispatch (the policy itself lives inside the caches).
-    policy: Policy,
     pub(crate) counters: MemCounters,
 }
 
@@ -509,7 +506,6 @@ impl MemorySystem {
             stride,
             prefetched: HashSet::new(),
             simple,
-            policy: mem.policy,
             counters: MemCounters::default(),
         }
     }
@@ -525,18 +521,6 @@ impl MemorySystem {
     /// train, including MRU hits the fast path would skip.
     pub(crate) fn forces_slow(&self) -> bool {
         self.stride.is_some()
-    }
-
-    /// True when the plain single-L1 demand path applies (no L2, no
-    /// prefetcher of either kind). Drives the block engine's shape
-    /// dispatch together with [`MemorySystem::policy`].
-    pub(crate) fn is_simple(&self) -> bool {
-        self.simple
-    }
-
-    /// The configured replacement policy.
-    pub(crate) fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// See [`Cache::hot_params`].
@@ -585,33 +569,9 @@ impl MemorySystem {
         self.demand_access_full(addr)
     }
 
-    // Shape-specialized demand entry points for the block engine: the
-    // caller has statically matched the configuration (plain L1 of a
-    // known policy, or the two-level walk), so the `simple` test and
-    // the generic `Cache::access` MRU re-probe both disappear. State
-    // and counter updates are identical to [`MemorySystem::demand_access`].
-
-    /// Plain-L1/LRU non-MRU demand access. Returns `true` on hit.
-    pub(crate) fn plain_access_lru(&mut self, addr: u32) -> bool {
-        debug_assert!(self.simple);
-        self.l1.access_nonmru_lru(addr)
-    }
-
-    /// Plain-L1/tree-PLRU non-MRU demand access. Returns `true` on hit.
-    pub(crate) fn plain_access_plru(&mut self, addr: u32) -> bool {
-        debug_assert!(self.simple);
-        self.l1.access_nonmru_plru(addr)
-    }
-
-    /// Plain-L1/random non-MRU demand access. Returns `true` on hit.
-    pub(crate) fn plain_access_random(&mut self, addr: u32) -> bool {
-        debug_assert!(self.simple);
-        self.l1.access_nonmru_random(addr)
-    }
-
     /// Demand access under a non-trivial configuration: consult the
     /// prefetch fill-reason set on hits, walk the L2 on misses.
-    pub(crate) fn demand_access_full(&mut self, addr: u32) -> Access {
+    fn demand_access_full(&mut self, addr: u32) -> Access {
         let block = u64::from(addr >> self.l1.hot_params());
         let (hit, victim) = self.l1.access_with_victim(addr);
         if hit {

@@ -9,8 +9,8 @@ use dl_mips::parse::parse_asm;
 use dl_mips::program::Program;
 use dl_sim::trace::capture_trace;
 use dl_sim::{
-    run, CacheConfig, Engine, Inclusion, L2Config, MemoryConfig, Policy, PrefetchConfig, RunConfig,
-    RunResult, StridePrefetchConfig, Trap,
+    run, run_full, CacheConfig, Engine, Inclusion, L2Config, MemoryConfig, ObserveConfig, Policy,
+    PrefetchConfig, RunConfig, RunResult, StridePrefetchConfig, Trap,
 };
 use dl_testkit::{cases, progen, Rng};
 
@@ -180,21 +180,20 @@ fn random_programs_agree_on_traces() {
     });
 }
 
-/// Stack-slot-heavy programs — dense `$sp`-relative runs that the
-/// block engine fuses into same-line coalescing groups — agree with
-/// the step engine, including when a small `max_steps` limit lands in
-/// the middle of a decoded group. These programs raise no trap other
-/// than `StepLimit` by construction, so any other divergence or fault
-/// is a coalescing bug.
+/// Stack-slot-heavy programs — dense `$sp`-relative runs whose
+/// accesses mostly hit the same line — agree with the step engine,
+/// including when a small `max_steps` limit lands in the middle of a
+/// decoded block. These programs raise no trap other than `StepLimit`
+/// by construction, so any other divergence or fault is an engine bug.
 #[test]
-fn stack_heavy_programs_agree_including_mid_group_limits() {
+fn stack_heavy_programs_agree_including_mid_block_limits() {
     let mut completed = 0u32;
     let mut limited = 0u32;
     cases(40, 0x57AC_C0A1, |rng| {
         let program = parse_asm(&progen::arb_stack_heavy_program(rng)).unwrap();
-        // Tiny limits land inside coalescing groups (forcing the
+        // Tiny limits land inside a run of slot accesses (forcing the
         // exact-step replay path); the large tier lets the loop finish
-        // so whole groups retire on the fast path.
+        // so whole blocks retire on the fast path.
         let max_steps = match rng.index(3) {
             0 => 1 + rng.below(40),
             1 => 1 + rng.below(400),
@@ -214,12 +213,12 @@ fn stack_heavy_programs_agree_including_mid_group_limits() {
     assert!(limited > 0, "no limit landed mid-program");
 }
 
-/// `max_steps` is exact inside a coalescing group: four same-line
-/// `$sp` loads plus a store fuse under the block engine, and a limit
-/// landing on each member must still report `StepLimit` at precisely
-/// that instruction count, agreeing with the step engine.
+/// `max_steps` is exact inside a run of same-line accesses: a limit
+/// landing on each of four same-line `$sp` loads and a store must
+/// report `StepLimit` at precisely that instruction count, agreeing
+/// with the step engine.
 #[test]
-fn step_limit_is_exact_mid_coalescing_group() {
+fn step_limit_is_exact_mid_same_line_run() {
     let program = parse_asm(
         "main:\n\tlw $t0, 0($sp)\n\tlw $t1, 4($sp)\n\tlw $t2, 8($sp)\n\tlw $t3, 12($sp)\n\tsw $t0, 0($sp)\n\tjr $ra\n",
     )
@@ -233,7 +232,7 @@ fn step_limit_is_exact_mid_coalescing_group() {
         assert_eq!(
             assert_engines_agree(&program, &config),
             Err(Trap::StepLimit { limit }),
-            "limit {limit} not exact mid-group"
+            "limit {limit} not exact mid-run"
         );
     }
     let config = RunConfig {
@@ -342,8 +341,8 @@ fn memory_matrix_agrees_across_engines() {
     for _ in 0..2 {
         programs.push(arb_program(&mut rng));
     }
-    // Coalescing groups must agree under every policy/hierarchy/
-    // prefetch shape, not just the default walk.
+    // Dense same-line slot traffic must agree under every policy/
+    // hierarchy/prefetch configuration, not just the default walk.
     programs.push(parse_asm(&progen::arb_stack_heavy_program(&mut rng)).unwrap());
     for memory in memory_matrix() {
         for (pi, program) in programs.iter().enumerate() {
@@ -373,11 +372,14 @@ fn memory_matrix_agrees_across_engines() {
 
 /// Rich-config runs must not perturb the measurement record relative
 /// to a plain run when observability is layered on: classification +
-/// observatory + matrix config still equals the bare matrix run.
+/// observatory + matrix config still equals the bare matrix run, and
+/// the observatory's per-site epoch totals equal the bare run's
+/// per-site misses. The stack-heavy inputs also run under the plain
+/// L1, where the bare run takes the batched fast path and the
+/// observed run the instrumented one.
 #[test]
 fn matrix_observability_is_zero_perturbation() {
-    let program = parse_asm(&progen::strided_scan_program(8, 500)).unwrap();
-    for memory in [
+    let rich_memories = [
         MemoryConfig {
             policy: Policy::Plru,
             l2: Some(L2Config::kb(64, 8, Inclusion::Exclusive)),
@@ -388,26 +390,101 @@ fn matrix_observability_is_zero_perturbation() {
             l2: Some(L2Config::kb(64, 8, Inclusion::Inclusive)),
             prefetch: Some(StridePrefetchConfig::degree(2)),
         },
-    ] {
+    ];
+    let scan = parse_asm(&progen::strided_scan_program(8, 500)).unwrap();
+    let mut inputs: Vec<(Program, CacheConfig, MemoryConfig)> = rich_memories
+        .iter()
+        .map(|&memory| (scan.clone(), CacheConfig::default(), memory))
+        .collect();
+    let mut rng = Rng::new(0x0B5E_EE01);
+    for _ in 0..8 {
+        let program = parse_asm(&progen::arb_stack_heavy_program(&mut rng)).unwrap();
+        for memory in [MemoryConfig::default(), rich_memories[0], rich_memories[1]] {
+            inputs.push((program.clone(), CacheConfig::kb(8, 2), memory));
+        }
+    }
+    let mut stack_heavy_misses = false;
+    for (i, (program, cache, memory)) in inputs.iter().enumerate() {
         let plain = RunConfig {
             max_steps: 100_000,
-            memory,
+            cache: *cache,
+            memory: *memory,
             ..RunConfig::default()
         };
-        let bare = assert_engines_agree(&program, &plain).expect("bare run completes");
+        let bare = assert_engines_agree(program, &plain).expect("bare run completes");
         let observed = RunConfig {
             classify_misses: true,
-            observe: Some(dl_sim::ObserveConfig::default()),
+            observe: Some(ObserveConfig::default()),
             ..plain.clone()
         };
-        let rich = assert_engines_agree(&program, &observed).expect("observed run completes");
-        assert_eq!(rich.load_misses, bare.load_misses, "{memory}");
-        assert_eq!(rich.load_hits, bare.load_hits, "{memory}");
-        assert_eq!(rich.l2_hits, bare.l2_hits, "{memory}");
-        assert_eq!(rich.l2_misses, bare.l2_misses, "{memory}");
-        assert_eq!(rich.prefetch_fills, bare.prefetch_fills, "{memory}");
-        assert_eq!(rich.prefetch_useful, bare.prefetch_useful, "{memory}");
+        let rich = assert_engines_agree(program, &observed).expect("observed run completes");
+        let at = format!("{memory}, input {i}");
+        assert_eq!(rich.load_misses, bare.load_misses, "{at}");
+        assert_eq!(rich.load_hits, bare.load_hits, "{at}");
+        assert_eq!(rich.l2_hits, bare.l2_hits, "{at}");
+        assert_eq!(rich.l2_misses, bare.l2_misses, "{at}");
+        assert_eq!(rich.prefetch_fills, bare.prefetch_fills, "{at}");
+        assert_eq!(rich.prefetch_useful, bare.prefetch_useful, "{at}");
         assert!(rich.cache_profile.is_some());
+        let obs = run_full(program, &observed)
+            .unwrap()
+            .observatory
+            .expect("observatory collected");
+        assert_eq!(obs.site_totals(), bare.load_misses, "observatory, {at}");
+        stack_heavy_misses |= i >= rich_memories.len() && bare.load_misses_total > 0;
+    }
+    assert!(
+        stack_heavy_misses,
+        "every stack-heavy program ran miss-free"
+    );
+}
+
+/// A set-thrashing kernel: five loads per trip, four of them 4 KiB
+/// apart, so they share one set of a small L1 and the first slot's
+/// line is evicted and refetched every trip.
+fn thrash_program() -> Program {
+    parse_asm(
+        "main:\n\
+         \taddiu $sp, $sp, -16384\n\
+         \tli $s0, 300\n\
+         .Lthrash:\n\
+         \tlw $t0, 0($sp)\n\
+         \tlw $t1, 4096($sp)\n\
+         \tlw $t2, 8192($sp)\n\
+         \tlw $t3, 12288($sp)\n\
+         \tlw $t4, 0($sp)\n\
+         \taddiu $s0, $s0, -1\n\
+         \tbgtz $s0, .Lthrash\n\
+         \tli $v0, 10\n\
+         \tli $a0, 0\n\
+         \tsyscall\n",
+    )
+    .unwrap()
+}
+
+/// Step ≡ block on a kernel that evicts on every trip, under each
+/// replacement policy at 8 KiB 2-way. (The memory matrix above runs
+/// 4-way, where four lines 4 KiB apart fit in one set.)
+#[test]
+fn set_thrash_agrees_across_engines_under_every_policy() {
+    let program = thrash_program();
+    for policy in [Policy::Lru, Policy::Plru, Policy::Random] {
+        let config = RunConfig {
+            cache: CacheConfig::kb(8, 2),
+            memory: MemoryConfig {
+                policy,
+                ..MemoryConfig::default()
+            },
+            ..RunConfig::default()
+        };
+        let result = assert_engines_agree(&program, &config).expect("thrash kernel completes");
+        // The agreement is vacuous unless the kernel actually evicts:
+        // the thrashed slot must re-miss on (nearly) every trip.
+        assert!(
+            result.load_misses_total >= 300,
+            "kernel failed to thrash under {policy:?}: {} misses",
+            result.load_misses_total
+        );
     }
 }
 

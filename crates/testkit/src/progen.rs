@@ -197,15 +197,15 @@ pub fn pointer_chase_program(stride: u32, nodes: u32, trips: u32) -> String {
 }
 
 /// A stack-slot-heavy program: dense runs of `$sp`-relative loads and
-/// stores over small 4-aligned offsets — the exact shape the block
-/// engine's decode-time same-line coalescing fuses into groups —
-/// interleaved with ALU work that must not break a group, and the
-/// occasional run-breaker (an access through a different base
-/// register, a balanced `$sp` push/pop, or an aliased copy of `$sp`)
-/// that forces the conservative bail-out. The whole body sits in a
-/// counted loop so the same decoded groups replay many times, and the
-/// program always exits cleanly: every address is a small in-bounds
-/// `$sp`/`$gp` offset, so the only trap it can raise is a step limit.
+/// stores over small 4-aligned offsets, so neighbouring accesses
+/// mostly share a cache line (the MRU-hit case the block engine's fast
+/// path answers with one compare), interleaved with ALU work and the
+/// occasional run-breaker between runs (an access through a different
+/// base register, a balanced `$sp` push/pop, or an aliased copy of
+/// `$sp`). The whole body sits in a counted loop so the same decoded
+/// blocks replay many times, and the program always exits cleanly:
+/// every address is a small in-bounds `$sp`/`$gp` offset, so the only
+/// trap it can raise is a step limit.
 #[must_use]
 pub fn arb_stack_heavy_program(rng: &mut Rng) -> String {
     let trips = 2 + rng.index(7);
@@ -219,7 +219,7 @@ pub fn arb_stack_heavy_program(rng: &mut Rng) -> String {
     for run in 0..nruns {
         // One dense run: 3–8 `$sp`-relative accesses whose offsets
         // cluster inside a 56-byte window, so neighbours frequently
-        // share a cache line and coalesce.
+        // share a cache line.
         let base_off = 4 * rng.index(6);
         for _ in 0..3 + rng.index(6) {
             let d = rng.index(8);
@@ -240,14 +240,13 @@ pub fn arb_stack_heavy_program(rng: &mut Rng) -> String {
         }
         if run + 1 < nruns {
             match rng.index(3) {
-                // A different base register between two runs: the
-                // decoder cannot prove it misses the line.
+                // A different base register between two runs.
                 0 => s.push_str(&format!(
                     "\tlw $t{}, {}($gp)\n",
                     rng.index(8),
                     4 * rng.index(16)
                 )),
-                // A write to the group's base register itself.
+                // A write to the runs' base register itself.
                 1 => s.push_str(
                     "\taddiu $sp, $sp, -16\n\tsw $t0, 0($sp)\n\tlw $t1, 0($sp)\n\taddiu $sp, $sp, 16\n",
                 ),
@@ -388,7 +387,7 @@ mod tests {
             );
             // Every program must contain at least one dense run: three
             // consecutive `$sp`-relative accesses in a row (ignoring
-            // interleaved ALU lines, which never break a group).
+            // interleaved ALU lines, which never end a run).
             let mut best = 0usize;
             let mut streak = 0usize;
             for line in s.lines() {
@@ -410,7 +409,7 @@ mod tests {
             any_breaker |= s.contains("($gp)") || s.contains("addiu $sp, $sp, -16");
             any_alias |= s.contains("move $t2, $sp");
         }
-        assert!(any_breaker, "no group-breaking access generated");
+        assert!(any_breaker, "no run-breaking access generated");
         assert!(any_alias, "no aliased-base access generated");
     }
 

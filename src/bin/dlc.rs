@@ -8,7 +8,7 @@
 //! dlc analyze prog.mc [-O1] [--input 1,2,3] [--delta 0.1]
 //!                                                   # flag possibly-delinquent loads
 //! dlc top    prog.mc [--epoch N] [--limit K]        # miss observatory: rank load sites
-//! dlc bench-diff old.json new.json [--threshold PCT] [--cost-threshold PCT]
+//! dlc bench-diff old.json new.json [--threshold PCT]
 //!                                                   # perf-regression gate over bench JSON
 //! ```
 //!
@@ -57,9 +57,7 @@
 //!
 //! `bench-diff` is the perf-regression gate: it compares the
 //! higher-is-better throughput metrics of two `bench --json` outputs
-//! and fails if any dropped by more than `--threshold` percent, or
-//! any lower-is-better `sim_probe_*_ns` cost rose by more than
-//! `--cost-threshold` percent (default: twice the main threshold).
+//! and fails if any dropped by more than `--threshold` percent.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -245,7 +243,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
              [--input 1,2,3] [--delta 0.1] [--profile] [--reuse] [--engine step|block] \
              [--policy lru|plru|random] [--l2 KB[,ASSOC][,incl|excl]|none] [--prefetch N] \
              [--trace-out t.json] [--epoch N] [--limit K]\n       \
-             dlc bench-diff old.json new.json [--threshold PCT] [--cost-threshold PCT]"
+             dlc bench-diff old.json new.json [--threshold PCT]"
                 .into(),
         );
     };
@@ -580,15 +578,9 @@ fn sparkline(values: &[u64], max_cols: usize) -> String {
 
 /// The `bench-diff` perf-regression gate: compares the
 /// higher-is-better throughput metrics of two `bench --json` outputs
-/// and fails if any dropped by more than `threshold` percent, or any
-/// lower-is-better cost metric rose by more than `cost_threshold`
-/// percent. The cost threshold defaults to twice the main one: a
-/// throughput drop saturates at -100% so the main threshold must stay
-/// below that, while per-access costs can rise without bound and vary
-/// more between hosts and input sizes, so their band is wider.
+/// and fails if any dropped by more than `threshold` percent.
 fn bench_diff(args: &[String]) -> Result<(), String> {
     let mut threshold = 10.0;
-    let mut cost_threshold: Option<f64> = None;
     let mut paths: Vec<String> = Vec::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -599,14 +591,6 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
                     .ok_or("--threshold requires a percent")?
                     .parse::<f64>()
                     .map_err(|e| e.to_string())?;
-            }
-            "--cost-threshold" => {
-                cost_threshold = Some(
-                    it.next()
-                        .ok_or("--cost-threshold requires a percent")?
-                        .parse::<f64>()
-                        .map_err(|e| e.to_string())?,
-                );
             }
             other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
             p => paths.push(p.to_owned()),
@@ -621,8 +605,7 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     };
     let old = load(&paths[0])?;
     let new = load(&paths[1])?;
-    let cost_threshold = cost_threshold.unwrap_or(2.0 * threshold);
-    let diff = diff_metrics(&old, &new, threshold, cost_threshold);
+    let diff = diff_metrics(&old, &new, threshold);
     println!(
         "{:<26} {:>16} {:>16} {:>9}",
         "metric", "old", "new", "delta"
@@ -645,13 +628,13 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     }
     if diff.regressions.is_empty() {
         println!(
-            "ok: {} metric(s) within {threshold}% (costs: {cost_threshold}%) of baseline",
+            "ok: {} metric(s) within {threshold}% of baseline",
             diff.compared
         );
         Ok(())
     } else {
         Err(format!(
-            "{} metric(s) regressed more than {threshold}% (costs: {cost_threshold}%): {}",
+            "{} metric(s) regressed more than {threshold}%: {}",
             diff.regressions.len(),
             diff.regressions.join(", ")
         ))
@@ -671,11 +654,10 @@ struct MetricsDiff {
 }
 
 /// Compares the throughput metrics (higher-is-better, gated at
-/// `threshold`) and probe-cost metrics (lower-is-better, gated at
-/// `cost_threshold`) of two bench JSON documents. Metrics present in
-/// only one document are classified as added/removed rather than
-/// silently skipped.
-fn diff_metrics(old: &Json, new: &Json, threshold: f64, cost_threshold: f64) -> MetricsDiff {
+/// `threshold`) of two bench JSON documents. Metrics present in only
+/// one document are classified as added/removed rather than silently
+/// skipped.
+fn diff_metrics(old: &Json, new: &Json, threshold: f64) -> MetricsDiff {
     // Higher-is-better throughput metrics emitted by `bench --json`.
     // Ratios (speedups) regress like raw rates: a drop is a slowdown.
     const METRICS: [&str; 6] = [
@@ -685,14 +667,6 @@ fn diff_metrics(old: &Json, new: &Json, threshold: f64, cost_threshold: f64) -> 
         "sim_prefetch_insts_per_sec",
         "sim_engine_speedup",
         "speedup",
-    ];
-    // Lower-is-better cost metrics: the probe microbench reports
-    // ns per data-cache access, so a RISE is the regression.
-    const COST_METRICS: [&str; 4] = [
-        "sim_probe_plain_ns",
-        "sim_probe_coalesced_ns",
-        "sim_probe_l2_ns",
-        "sim_probe_prefetch_ns",
     ];
     #[allow(clippy::cast_precision_loss)]
     let num = |json: &Json, key: &str| match json.get(key) {
@@ -707,11 +681,7 @@ fn diff_metrics(old: &Json, new: &Json, threshold: f64, cost_threshold: f64) -> 
         added: Vec::new(),
         removed: Vec::new(),
     };
-    let keys = METRICS
-        .iter()
-        .map(|&k| (k, false))
-        .chain(COST_METRICS.iter().map(|&k| (k, true)));
-    for (key, lower_is_better) in keys {
+    for key in METRICS {
         let (o, n) = (num(old, key), num(new, key));
         let (o, n) = match (o, n) {
             (Some(o), Some(n)) => (o, n),
@@ -730,12 +700,7 @@ fn diff_metrics(old: &Json, new: &Json, threshold: f64, cost_threshold: f64) -> 
         }
         diff.compared += 1;
         let delta = 100.0 * (n - o) / o;
-        let regressed = if lower_is_better {
-            delta >= cost_threshold
-        } else {
-            delta <= -threshold
-        };
-        let flag = if regressed {
+        let flag = if delta <= -threshold {
             diff.regressions.push(key);
             "  REGRESSION"
         } else {
@@ -1095,7 +1060,7 @@ mod tests {
         let old = Json::parse(r#"{"sim_insts_per_sec": 100.0, "speedup": 2.0}"#).unwrap();
         let new =
             Json::parse(r#"{"sim_insts_per_sec": 99.0, "sim_l2_insts_per_sec": 80.0}"#).unwrap();
-        let d = diff_metrics(&old, &new, 10.0, 20.0);
+        let d = diff_metrics(&old, &new, 10.0);
         assert_eq!(d.compared, 1);
         assert!(d.regressions.is_empty());
         assert_eq!(d.added, vec!["sim_l2_insts_per_sec"]);
@@ -1103,22 +1068,6 @@ mod tests {
         // Metrics absent from both sides appear nowhere.
         assert!(!d.added.contains(&"sim_prefetch_insts_per_sec"));
         assert!(!d.removed.contains(&"sim_prefetch_insts_per_sec"));
-    }
-
-    #[test]
-    fn diff_metrics_gates_cost_metrics_on_rises_not_drops() {
-        // ns/access is lower-is-better: a big drop is fine, a big
-        // rise is the regression.
-        let old = Json::parse(r#"{"sim_probe_plain_ns": 10.0, "sim_probe_l2_ns": 10.0}"#).unwrap();
-        let new = Json::parse(r#"{"sim_probe_plain_ns": 5.0, "sim_probe_l2_ns": 12.0}"#).unwrap();
-        let d = diff_metrics(&old, &new, 10.0, 10.0);
-        assert_eq!(d.compared, 2);
-        assert_eq!(d.regressions, vec!["sim_probe_l2_ns"]);
-        // The cost band is independent of the throughput band: a
-        // wider cost threshold lets the same rise pass while a
-        // throughput drop of that size would still gate.
-        let d = diff_metrics(&old, &new, 10.0, 30.0);
-        assert!(d.regressions.is_empty());
     }
 
     #[test]
