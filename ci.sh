@@ -246,11 +246,12 @@ echo "extension-reuse output byte-identical"
 echo "== reuse-profile determinism check =="
 # The profile engine's OnceLock-cached histograms and the per-geometry
 # pricing must not depend on worker scheduling: both profile tables are
-# byte-compared across job counts.
-./target/release/repro --jobs 1 extension-profile profile-geometries > /tmp/ci_prof_seq.out 2>/dev/null
-./target/release/repro --jobs 4 extension-profile profile-geometries > /tmp/ci_prof_par.out 2>/dev/null
+# byte-compared across job counts, and so is extension-prefetch, whose
+# runs (like profile-geometries' measured runs) bypass the memo.
+./target/release/repro --jobs 1 extension-prefetch extension-profile profile-geometries > /tmp/ci_prof_seq.out 2>/dev/null
+./target/release/repro --jobs 4 extension-prefetch extension-profile profile-geometries > /tmp/ci_prof_par.out 2>/dev/null
 cmp /tmp/ci_prof_seq.out /tmp/ci_prof_par.out
-echo "profile tables byte-identical"
+echo "profile and prefetch tables byte-identical"
 
 echo "== manifest + trace combination determinism check =="
 # --manifest and --trace-out together must not perturb table output,
@@ -319,6 +320,11 @@ DL_SIM_ENGINE=step ./target/release/repro --jobs 4 table11 table12 table14 > /tm
 cmp /tmp/ci_paper_seq.out /tmp/ci_step_paper.out
 DL_SIM_ENGINE=step ./target/release/repro --jobs 4 table3 > /tmp/ci_step_t3.out 2>/dev/null
 cmp /tmp/ci_seq.out /tmp/ci_step_t3.out
+# The next-line prefetcher and the reuse measurement's stack run
+# outside the memo; the sequential block-engine run of the
+# reuse-profile check above is their "block" side.
+DL_SIM_ENGINE=step ./target/release/repro --jobs 4 extension-prefetch extension-profile profile-geometries > /tmp/ci_step_prof.out 2>/dev/null
+cmp /tmp/ci_prof_seq.out /tmp/ci_step_prof.out
 echo "step and block engines byte-identical"
 
 echo "CI green"

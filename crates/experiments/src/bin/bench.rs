@@ -20,8 +20,7 @@ use dl_experiments::schedule::{default_jobs, prewarm, union_specs};
 use dl_minic::{compile, OptLevel};
 use dl_obs::Json;
 use dl_sim::{
-    run_with_stats, BlockStats, Engine, Inclusion, L2Config, MemoryConfig, RunConfig,
-    StridePrefetchConfig,
+    run_with_stats, BlockStats, Engine, Inclusion, L2Config, MemoryConfig, Prefetch, RunConfig,
 };
 
 /// Tables whose union of configurations the full benchmark times.
@@ -201,7 +200,7 @@ fn main() {
     let l2_rate = insts as f64 / l2_secs;
     eprintln!("  block+l2: {insts} instructions in {l2_secs:.3}s = {l2_rate:.0} insts/s");
     let pf_mem = MemoryConfig {
-        prefetch: Some(StridePrefetchConfig::degree(2)),
+        prefetch: Some(Prefetch::Stride(2)),
         ..MemoryConfig::default()
     };
     let pf = sim_throughput(&kernel, Engine::Block, pf_mem, n);

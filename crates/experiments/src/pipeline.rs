@@ -776,7 +776,7 @@ mod tests {
 
     #[test]
     fn memory_config_is_part_of_the_memo_key() {
-        use dl_sim::{Policy, StridePrefetchConfig};
+        use dl_sim::{Policy, Prefetch};
         let p = Pipeline::new();
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
@@ -793,7 +793,7 @@ mod tests {
             ..MemoryConfig::default()
         };
         let pf = MemoryConfig {
-            prefetch: Some(StridePrefetchConfig::degree(2)),
+            prefetch: Some(Prefetch::Stride(2)),
             ..MemoryConfig::default()
         };
         let r_plru = p.run_mem(&b, OptLevel::O0, 1, cache, plru);

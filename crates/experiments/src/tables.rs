@@ -16,7 +16,7 @@ use dl_core::combine::{combine_with_profiling, HybridMode};
 use dl_core::training::{h1_class_defs, train_class, train_weights, TrainingParams, TrainingRun};
 use dl_core::{AgClass, Heuristic, Hybrid, Predictor, Weights};
 use dl_minic::OptLevel;
-use dl_sim::{CacheConfig, Inclusion, L2Config, MemoryConfig, Policy, StridePrefetchConfig};
+use dl_sim::{CacheConfig, Inclusion, L2Config, MemoryConfig, Policy, Prefetch};
 use dl_workloads::Benchmark;
 
 use crate::metrics::{ideal_set, pct, pi, profiling_set, random_control, rho, xi};
@@ -874,7 +874,7 @@ pub fn ablation_delta_tuning(p: &Pipeline) -> Table {
 /// issued) it pays.
 #[must_use]
 pub fn extension_prefetch(p: &Pipeline) -> Table {
-    use dl_sim::{run as simulate, PrefetchConfig, RunConfig};
+    use dl_sim::{run as simulate, RunConfig};
     let h = Heuristic::default();
     let mut t = Table::new(
         "extension-prefetch",
@@ -914,8 +914,12 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
         for (slot, sites) in policies {
             let config = RunConfig {
                 cache: CacheConfig::paper_baseline(),
+                memory: MemoryConfig {
+                    prefetch: Some(Prefetch::NextLine(1)),
+                    ..MemoryConfig::default()
+                },
                 input: bench.input1.clone(),
-                prefetch: Some(PrefetchConfig::next_line(sites.clone())),
+                prefetch_sites: Some(sites.clone()),
                 ..RunConfig::default()
             };
             let result = simulate(base.program(), &config).expect("benchmark runs");
@@ -1216,7 +1220,7 @@ pub fn memmatrix_configs() -> Vec<MemoryConfig> {
     let mut v = Vec::new();
     for policy in [Policy::Lru, Policy::Plru, Policy::Random] {
         for l2 in [None, Some(L2Config::kb(64, 8, Inclusion::Inclusive))] {
-            for prefetch in [None, Some(StridePrefetchConfig::degree(2))] {
+            for prefetch in [None, Some(Prefetch::Stride(2))] {
                 v.push(MemoryConfig {
                     policy,
                     l2,
@@ -1225,7 +1229,7 @@ pub fn memmatrix_configs() -> Vec<MemoryConfig> {
             }
         }
     }
-    for prefetch in [None, Some(StridePrefetchConfig::degree(2))] {
+    for prefetch in [None, Some(Prefetch::Stride(2))] {
         v.push(MemoryConfig {
             policy: Policy::Lru,
             l2: Some(L2Config::kb(64, 8, Inclusion::Exclusive)),
@@ -1440,7 +1444,7 @@ mod tests {
         let p = Pipeline::new();
         let cache = CacheConfig::paper_baseline();
         let pf = MemoryConfig {
-            prefetch: Some(StridePrefetchConfig::degree(2)),
+            prefetch: Some(Prefetch::Stride(2)),
             ..MemoryConfig::default()
         };
         let ranking = |result: &dl_sim::RunResult| -> Vec<usize> {

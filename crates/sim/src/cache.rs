@@ -8,10 +8,10 @@
 //! operations ([`Cache::invalidate_block`] and friends) exist for the
 //! two-level hierarchy's inclusion maintenance.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
 use crate::memory::{Policy, RandomEvict, ReplacementPolicy, TreePlru};
+use crate::reuse::StackDistance;
 
 /// Geometry of a cache: total capacity, associativity, and block size.
 ///
@@ -150,8 +150,8 @@ pub enum MissClass {
     /// Would miss even in a fully-associative cache of the same
     /// capacity (working set too large).
     Capacity,
-    /// Hits in the fully-associative shadow cache but misses here —
-    /// caused purely by set-index conflicts.
+    /// Would hit a fully-associative cache of the same capacity but
+    /// misses here — caused purely by set-index conflicts.
     Conflict,
 }
 
@@ -205,18 +205,15 @@ pub struct CacheProfile {
     pub set_misses: Vec<u64>,
 }
 
-/// Shadow state backing miss classification: a set of every block ever
-/// touched (compulsory detection) and a fully-associative LRU cache of
-/// the same capacity (capacity vs. conflict detection).
+/// Shadow state backing miss classification: an LRU stack over every
+/// block this cache has seen. A missing block never seen before is
+/// compulsory; one whose stack distance is below the capacity in
+/// blocks would have hit a fully-associative LRU cache of the same
+/// size, so it is a conflict miss; anything else is capacity.
 #[derive(Debug, Clone)]
 struct ProfileState {
-    touched: HashSet<u64>,
-    // block -> recency stamp, and the inverse ordered by stamp; the
-    // smallest stamp is the fully-associative LRU victim.
-    shadow: HashMap<u64, u64>,
-    stamps: BTreeMap<u64, u64>,
-    clock: u64,
-    cap_blocks: usize,
+    stack: StackDistance,
+    cap_blocks: u64,
     profile: CacheProfile,
     last_class: MissClass,
 }
@@ -225,11 +222,8 @@ impl ProfileState {
     fn new(cfg: CacheConfig) -> Self {
         let sets = cfg.sets() as usize;
         ProfileState {
-            touched: HashSet::new(),
-            shadow: HashMap::new(),
-            stamps: BTreeMap::new(),
-            clock: 0,
-            cap_blocks: (cfg.size_bytes() / cfg.block_bytes()) as usize,
+            stack: StackDistance::new(),
+            cap_blocks: u64::from(cfg.size_bytes() / cfg.block_bytes()),
             profile: CacheProfile {
                 classes: MissClasses::default(),
                 set_accesses: vec![0; sets],
@@ -378,9 +372,9 @@ impl Cache {
     }
 
     /// Enables miss classification and per-set histograms. Profiling
-    /// tracks a shadow fully-associative cache, so enable it only when
-    /// the breakdown is wanted — never on the memoized table-generation
-    /// hot path's default configuration.
+    /// tracks a shadow LRU stack, so enable it only when the breakdown
+    /// is wanted — never on the memoized table-generation hot path's
+    /// default configuration.
     pub fn enable_profiling(&mut self) {
         self.profile = Some(Box::new(ProfileState::new(self.cfg)));
         self.profiling = true;
@@ -477,38 +471,20 @@ impl Cache {
     }
 
     /// Profiling bookkeeping for one access: per-set histograms, the
-    /// shadow fully-associative LRU, and (on a miss) classification.
-    /// Out of line — production configurations never enable it.
+    /// shadow LRU stack, and (on a miss) classification. Out of line —
+    /// production configurations never enable it.
     #[cold]
     fn profile_access(&mut self, block: u64, set: u32, hit: bool) {
         let p = self.profile.as_mut().expect("profiling flag implies state");
         p.profile.set_accesses[set as usize] += 1;
-        // Refresh the block's recency in the shadow cache, noting
-        // whether it was resident before this access.
-        let shadow_hit = match p.shadow.get(&block).copied() {
-            Some(stamp) => {
-                p.stamps.remove(&stamp);
-                true
-            }
-            None => false,
-        };
-        p.clock += 1;
-        p.shadow.insert(block, p.clock);
-        p.stamps.insert(p.clock, block);
-        if !shadow_hit && p.shadow.len() > p.cap_blocks {
-            let (&victim_stamp, &victim_block) =
-                p.stamps.iter().next().expect("shadow cache nonempty");
-            p.stamps.remove(&victim_stamp);
-            p.shadow.remove(&victim_block);
-        }
+        // Blocks come from 32-bit addresses, so they fit in u32.
+        let distance = p.stack.touch(block as u32);
         if !hit {
             p.profile.set_misses[set as usize] += 1;
-            let class = if p.touched.insert(block) {
-                MissClass::Compulsory
-            } else if shadow_hit {
-                MissClass::Conflict
-            } else {
-                MissClass::Capacity
+            let class = match distance {
+                None => MissClass::Compulsory,
+                Some(d) if d < p.cap_blocks => MissClass::Conflict,
+                Some(_) => MissClass::Capacity,
             };
             p.profile.classes.add(class);
             p.last_class = class;

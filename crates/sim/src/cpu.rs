@@ -89,35 +89,13 @@ impl fmt::Display for Trap {
 
 impl std::error::Error for Trap {}
 
-/// A next-line prefetcher attached to selected static load sites —
-/// the paper's motivating consumer of delinquent-load identification.
-///
-/// When a load at an instrumented site executes, the next `degree`
-/// cache blocks after the accessed one are brought into the cache.
-/// [`RunResult::prefetches_issued`] counts the overhead this incurs.
-#[derive(Debug, Clone, Default)]
-pub struct PrefetchConfig {
-    /// Instruction indices of the loads to instrument (sorted or not).
-    pub sites: Vec<usize>,
-    /// Blocks prefetched ahead per triggering access (0 disables).
-    pub degree: u32,
-}
-
-impl PrefetchConfig {
-    /// Instrument the given sites with next-line (degree-1) prefetch.
-    #[must_use]
-    pub fn next_line(sites: Vec<usize>) -> Self {
-        PrefetchConfig { sites, degree: 1 }
-    }
-}
-
 /// Configuration for one simulated run.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// L1 data-cache geometry.
     pub cache: CacheConfig,
     /// Memory-system shape beyond the L1 geometry: replacement
-    /// policy, optional L2, optional stride prefetcher (see
+    /// policy, optional L2, optional prefetcher (see
     /// [`crate::memory`]). The default is the plain L1 LRU the paper
     /// evaluates.
     pub memory: MemoryConfig,
@@ -127,12 +105,14 @@ pub struct RunConfig {
     pub input: Vec<i32>,
     /// Seed for the `rand` syscall.
     pub seed: u64,
-    /// Optional prefetcher attached to selected load sites.
-    pub prefetch: Option<PrefetchConfig>,
+    /// Instruction indices of the loads that trigger the configured
+    /// prefetcher — the paper's motivating consumer instruments only
+    /// the loads it flags. `None` lets every demand load trigger.
+    pub prefetch_sites: Option<Vec<usize>>,
     /// Classify misses (compulsory/capacity/conflict) and collect
     /// per-set histograms into [`RunResult::cache_profile`] and
     /// per-site attribution into [`RunResult::load_miss_classes`].
-    /// Costs a shadow-cache update per access; off by default.
+    /// Costs a shadow LRU stack update per access; off by default.
     pub classify_misses: bool,
     /// Collect epoch-windowed per-load-site miss counts into
     /// [`SimOutput::observatory`] (see [`crate::observe`]). Routes the
@@ -156,7 +136,7 @@ impl Default for RunConfig {
             max_steps: 500_000_000,
             input: Vec::new(),
             seed: 0x5eed_1234_abcd_ef01,
-            prefetch: None,
+            prefetch_sites: None,
             classify_misses: false,
             observe: None,
             reuse_profile: false,
@@ -199,24 +179,18 @@ pub struct Machine<'p> {
     pub(crate) finished: Option<i32>,
     // Which interpreter core run_* methods use.
     engine: Engine,
-    // Per-instruction prefetch degree (0 = not instrumented).
-    prefetch_degree: Vec<u32>,
     // When Some, every data access is recorded.
     trace: Option<Vec<TraceRecord>>,
     // When Some, every load access is windowed into miss epochs.
     observatory: Option<MissObservatory>,
     // When Some, every data access updates the shadow LRU stack.
     reuse: Option<ReuseMeasurement>,
-    // Hot-path flags mirroring `trace`/`prefetch_degree`: data
-    // accesses check one bool each instead of an Option walk and a
-    // per-access Vec index.
+    // Hot-path flags mirroring the optional state above: data
+    // accesses check one bool each instead of an Option walk.
     tracing: bool,
-    has_prefetch: bool,
     classifying: bool,
     observing: bool,
     reusing: bool,
-    // Stride prefetcher configured: every demand load trains the table.
-    striding: bool,
 }
 
 impl<'p> Machine<'p> {
@@ -230,11 +204,7 @@ impl<'p> Machine<'p> {
         // Returning from the entry function jumps to the halt sentinel.
         let halt_index = program.insts.len();
         regs[Reg::Ra as usize] = layout::pc_of_index(halt_index);
-        let has_prefetch = config
-            .prefetch
-            .as_ref()
-            .is_some_and(|pf| pf.degree > 0 && !pf.sites.is_empty());
-        let mut cache = MemorySystem::new(config.cache, &config.memory, config.seed, has_prefetch);
+        let mut cache = MemorySystem::new(config, program.insts.len());
         let mut result = RunResult::with_len(program.insts.len());
         if config.classify_misses {
             cache.enable_profiling();
@@ -252,17 +222,6 @@ impl<'p> Machine<'p> {
             result,
             finished: None,
             engine: config.engine,
-            prefetch_degree: {
-                let mut v = vec![0u32; program.insts.len()];
-                if let Some(pf) = &config.prefetch {
-                    for &site in &pf.sites {
-                        if let Some(slot) = v.get_mut(site) {
-                            *slot = pf.degree;
-                        }
-                    }
-                }
-                v
-            },
             trace: None,
             observatory: config
                 .observe
@@ -271,11 +230,9 @@ impl<'p> Machine<'p> {
                 .reuse_profile
                 .then(|| ReuseMeasurement::new(program.insts.len(), config.cache.block_bytes())),
             tracing: false,
-            has_prefetch,
             classifying: config.classify_misses,
             observing: config.observe.is_some(),
             reusing: config.reuse_profile,
-            striding: config.memory.prefetch.is_some_and(|pf| pf.degree > 0),
         }
     }
 
@@ -326,23 +283,6 @@ impl<'p> Machine<'p> {
                 addr,
                 store,
             });
-    }
-
-    /// Issues next-line prefetches for an instrumented load site.
-    /// Out of line: only the prefetch-extension tables enable this.
-    #[cold]
-    fn issue_prefetches(&mut self, at: usize, addr: u32) {
-        let degree = self.prefetch_degree[at];
-        if degree == 0 {
-            return;
-        }
-        let block = self.cache.l1().config().block_bytes();
-        for d in 1..=degree {
-            let Some(next) = addr.checked_add(block * d) else {
-                break;
-            };
-            self.cache.prefetch_fill(next);
-        }
     }
 
     /// Attributes the miss the cache just classified to load site
@@ -420,12 +360,7 @@ impl<'p> Machine<'p> {
         if self.reusing {
             self.record_reuse(at, addr, false);
         }
-        if self.has_prefetch {
-            self.issue_prefetches(at, addr);
-        }
-        if self.striding {
-            self.cache.stride_observe(at, addr);
-        }
+        self.cache.prefetch_observe(at, addr);
     }
 
     // See `dcache_load` for why this is force-inlined.
@@ -778,7 +713,6 @@ impl<'p> Machine<'p> {
     /// fast path.
     fn run_block_engine(&mut self, max_steps: u64) -> Result<BlockStats, Trap> {
         let slow = self.tracing
-            || self.has_prefetch
             || self.classifying
             || self.observing
             || self.reusing
@@ -1203,7 +1137,20 @@ mod tests {
 #[cfg(test)]
 mod prefetch_tests {
     use super::*;
+    use crate::memory::Prefetch;
     use dl_mips::parse::parse_asm;
+
+    /// Next-line prefetch of `degree` blocks, triggered at `sites`.
+    fn next_line(sites: Vec<usize>, degree: u32) -> RunConfig {
+        RunConfig {
+            memory: MemoryConfig {
+                prefetch: Some(Prefetch::NextLine(degree)),
+                ..MemoryConfig::default()
+            },
+            prefetch_sites: Some(sites),
+            ..RunConfig::default()
+        }
+    }
 
     /// A forward streaming scan: next-line prefetch at the load site
     /// should roughly halve its misses.
@@ -1229,11 +1176,7 @@ mod prefetch_tests {
         let p = streaming_program();
         let load_site = 4;
         let base = run(&p, &RunConfig::default()).unwrap();
-        let cfg = RunConfig {
-            prefetch: Some(PrefetchConfig::next_line(vec![load_site])),
-            ..RunConfig::default()
-        };
-        let pf = run(&p, &cfg).unwrap();
+        let pf = run(&p, &next_line(vec![load_site], 1)).unwrap();
         assert!(base.load_misses[load_site] > 100);
         assert!(
             pf.load_misses[load_site] * 2 <= base.load_misses[load_site],
@@ -1250,36 +1193,21 @@ mod prefetch_tests {
     #[test]
     fn uninstrumented_sites_issue_nothing() {
         let p = streaming_program();
-        let cfg = RunConfig {
-            prefetch: Some(PrefetchConfig::next_line(vec![0])), // a non-load
-            ..RunConfig::default()
-        };
-        let r = run(&p, &cfg).unwrap();
+        let r = run(&p, &next_line(vec![0], 1)).unwrap(); // a non-load
         assert_eq!(r.prefetches_issued, 0);
     }
 
     #[test]
     fn higher_degree_prefetches_more() {
         let p = streaming_program();
-        let cfg = RunConfig {
-            prefetch: Some(PrefetchConfig {
-                sites: vec![4],
-                degree: 4,
-            }),
-            ..RunConfig::default()
-        };
-        let r = run(&p, &cfg).unwrap();
+        let r = run(&p, &next_line(vec![4], 4)).unwrap();
         assert_eq!(r.prefetches_issued, 4 * r.exec_counts[4]);
     }
 
     #[test]
     fn out_of_range_site_is_ignored() {
         let p = streaming_program();
-        let cfg = RunConfig {
-            prefetch: Some(PrefetchConfig::next_line(vec![10_000])),
-            ..RunConfig::default()
-        };
-        let r = run(&p, &cfg).unwrap();
+        let r = run(&p, &next_line(vec![10_000], 1)).unwrap();
         assert_eq!(r.prefetches_issued, 0);
     }
 }

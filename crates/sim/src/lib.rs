@@ -46,10 +46,8 @@ pub mod trace;
 
 pub use block::{BlockStats, Engine};
 pub use cache::{Cache, CacheConfig, CacheProfile, MissClass, MissClasses};
-pub use cpu::{run, run_full, run_with_stats, Machine, PrefetchConfig, RunConfig, SimOutput, Trap};
-pub use memory::{
-    Inclusion, L2Config, MemoryConfig, Policy, ReplacementPolicy, StridePrefetchConfig,
-};
+pub use cpu::{run, run_full, run_with_stats, Machine, RunConfig, SimOutput, Trap};
+pub use memory::{Inclusion, L2Config, MemoryConfig, Policy, Prefetch, ReplacementPolicy};
 pub use observe::{EpochMisses, MissObservatory, ObserveConfig};
 pub use reuse::{ReuseMeasurement, SiteHistogram};
 pub use stats::RunResult;

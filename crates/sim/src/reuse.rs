@@ -5,12 +5,14 @@
 //! every load, its **stack distance** — the number of distinct blocks
 //! referenced since the previous reference to the same block (Olken's
 //! algorithm: a Fenwick tree over recency stamps gives each distance
-//! in `O(log n)`). Distances land in the same 65 log₂ buckets the
-//! static pass emits, so the two histograms compare bucket for
-//! bucket, and the classic inclusion property prices every geometry
-//! from one run: a fully-associative LRU cache of `C` blocks hits an
-//! access iff its distance is below `C`, and for the power-of-two
-//! capacities this repository sweeps the bucket boundary is exact.
+//! in `O(log n)`). The three-Cs miss classifier in [`crate::cache`]
+//! runs its own copy of the same stack. Distances land in the same 65
+//! log₂ buckets the static pass emits, so the two histograms compare
+//! bucket for bucket, and the classic inclusion property prices every
+//! geometry from one run: a fully-associative LRU cache of `C` blocks
+//! hits an access iff its distance is below `C`, and for the
+//! power-of-two capacities this repository sweeps the bucket boundary
+//! is exact.
 //!
 //! Stores update recency (a loaded block a store just touched is
 //! near, not far) but only loads contribute histogram entries —
@@ -105,21 +107,21 @@ fn bucket_miss_fraction(b: usize, cap: u64) -> f64 {
     }
 }
 
-/// Recency stamps are compacted when the clock reaches this bound, so
-/// the Fenwick tree stays a fixed size no matter how long the run is.
-const STAMP_CAP: usize = 1 << 20;
+/// The stamp space a fresh stack starts with.
+const INITIAL_STAMPS: usize = 1 << 10;
 
-/// The shadow LRU stack plus every site's histogram. Attached to a
-/// run via `RunConfig::reuse_profile`; collected from
-/// `SimOutput::reuse`.
+const DEAD: u32 = u32::MAX;
+
+/// Olken's shadow LRU stack over block numbers: a Fenwick tree over
+/// recency stamps prices each touch's stack distance in `O(log n)`.
+/// Stamps are compacted when the clock reaches the end of the stamp
+/// space, which doubles whenever more than half of it is live — so it
+/// stays proportional to the blocks actually touched.
 #[derive(Debug, Clone)]
-pub struct ReuseMeasurement {
-    line_shift: u32,
-    /// Per-site histograms, indexed by instruction index.
-    sites: Vec<SiteHistogram>,
+pub(crate) struct StackDistance {
     /// block → its current recency stamp (1-indexed).
     stamp_of: HashMap<u32, usize>,
-    /// stamp → block (`u32::MAX` marks a superseded stamp).
+    /// stamp → block (`DEAD` marks a superseded stamp).
     block_of: Vec<u32>,
     /// Fenwick tree over stamps: one set bit per live block.
     bit: Vec<u32>,
@@ -128,27 +130,20 @@ pub struct ReuseMeasurement {
     clock: usize,
 }
 
-const DEAD: u32 = u32::MAX;
-
-impl ReuseMeasurement {
-    /// A fresh measurement for a program of `insts` instructions and
-    /// the given cache-line size in bytes (must be a power of two).
-    #[must_use]
-    pub fn new(insts: usize, line_bytes: u32) -> Self {
-        debug_assert!(line_bytes.is_power_of_two());
-        ReuseMeasurement {
-            line_shift: line_bytes.trailing_zeros(),
-            sites: vec![SiteHistogram::default(); insts],
+impl StackDistance {
+    /// An empty stack.
+    pub(crate) fn new() -> Self {
+        StackDistance {
             stamp_of: HashMap::new(),
-            block_of: vec![DEAD; STAMP_CAP + 1],
-            bit: vec![0; STAMP_CAP + 1],
+            block_of: vec![DEAD; INITIAL_STAMPS + 1],
+            bit: vec![0; INITIAL_STAMPS + 1],
             live: 0,
             clock: 0,
         }
     }
 
     fn bit_add(&mut self, mut i: usize, delta: i32) {
-        while i <= STAMP_CAP {
+        while i < self.bit.len() {
             self.bit[i] = self.bit[i].wrapping_add_signed(delta);
             i += i & i.wrapping_neg();
         }
@@ -163,30 +158,20 @@ impl ReuseMeasurement {
         sum
     }
 
-    /// Records one access. `at` is the instruction index; only loads
-    /// (`store == false`) contribute histogram entries, but every
-    /// access refreshes its block's recency.
-    pub fn record(&mut self, at: usize, addr: u32, store: bool) {
-        let block = addr >> self.line_shift;
-        match self.stamp_of.get(&block).copied() {
-            Some(old) => {
-                // Live blocks with a stamp newer than `old` are
-                // exactly the distinct blocks touched since.
-                let d = self.live as u64 - u64::from(self.bit_prefix(old));
-                if !store {
-                    self.sites[at].buckets[distance_bucket(d)] += 1;
-                }
-                self.bit_add(old, -1);
-                self.block_of[old] = DEAD;
-                self.live -= 1;
-            }
-            None => {
-                if !store {
-                    self.sites[at].cold += 1;
-                }
-            }
-        }
-        if self.clock == STAMP_CAP {
+    /// Touches `block`, returning its stack distance — the number of
+    /// distinct blocks touched since its previous touch — or `None`
+    /// on its first touch.
+    pub(crate) fn touch(&mut self, block: u32) -> Option<u64> {
+        let distance = self.stamp_of.get(&block).copied().map(|old| {
+            // Live blocks with a stamp newer than `old` are exactly
+            // the distinct blocks touched since.
+            let d = self.live as u64 - u64::from(self.bit_prefix(old));
+            self.bit_add(old, -1);
+            self.block_of[old] = DEAD;
+            self.live -= 1;
+            d
+        });
+        if self.clock == self.bit.len() - 1 {
             self.compact();
         }
         self.clock += 1;
@@ -194,13 +179,14 @@ impl ReuseMeasurement {
         self.stamp_of.insert(block, self.clock);
         self.bit_add(self.clock, 1);
         self.live += 1;
+        distance
     }
 
     /// Renumbers live stamps to `1..=live`, preserving recency order,
-    /// and rebuilds the Fenwick tree.
+    /// doubles the stamp space if more than half of it is live, and
+    /// rebuilds the Fenwick tree.
     fn compact(&mut self) {
         let mut next = 0;
-        self.bit.fill(0);
         for s in 1..=self.clock {
             let block = self.block_of[s];
             if block == DEAD {
@@ -210,14 +196,58 @@ impl ReuseMeasurement {
             self.block_of[next] = block;
             self.stamp_of.insert(block, next);
         }
-        for s in next + 1..=self.clock {
-            self.block_of[s] = DEAD;
-        }
         debug_assert_eq!(next, self.live);
+        let mut stamps = self.bit.len() - 1;
+        if 2 * next > stamps {
+            stamps *= 2;
+        }
+        self.block_of.truncate(next + 1);
+        self.block_of.resize(stamps + 1, DEAD);
+        self.bit.clear();
+        self.bit.resize(stamps + 1, 0);
         for s in 1..=next {
             self.bit_add(s, 1);
         }
         self.clock = next;
+    }
+}
+
+/// Every load site's reuse-distance histogram over one shadow LRU
+/// stack. Attached to a run via `RunConfig::reuse_profile`; collected
+/// from `SimOutput::reuse`.
+#[derive(Debug, Clone)]
+pub struct ReuseMeasurement {
+    line_shift: u32,
+    /// Per-site histograms, indexed by instruction index.
+    sites: Vec<SiteHistogram>,
+    stack: StackDistance,
+}
+
+impl ReuseMeasurement {
+    /// A fresh measurement for a program of `insts` instructions and
+    /// the given cache-line size in bytes (must be a power of two).
+    #[must_use]
+    pub fn new(insts: usize, line_bytes: u32) -> Self {
+        debug_assert!(line_bytes.is_power_of_two());
+        ReuseMeasurement {
+            line_shift: line_bytes.trailing_zeros(),
+            sites: vec![SiteHistogram::default(); insts],
+            stack: StackDistance::new(),
+        }
+    }
+
+    /// Records one access. `at` is the instruction index; only loads
+    /// (`store == false`) contribute histogram entries, but every
+    /// access refreshes its block's recency.
+    pub fn record(&mut self, at: usize, addr: u32, store: bool) {
+        let distance = self.stack.touch(addr >> self.line_shift);
+        if !store {
+            let site = &mut self.sites[at];
+            match distance {
+                Some(d) => site.buckets[distance_bucket(d)] += 1,
+                None => site.cold += 1,
+            }
+        }
     }
 
     /// The histogram of load site `at`.
@@ -329,9 +359,9 @@ mod tests {
     #[test]
     fn compaction_preserves_distances() {
         let mut m = ReuseMeasurement::new(2, 32);
-        // Two hot blocks re-referenced across enough traffic to force
-        // several compactions.
-        for i in 0..(STAMP_CAP * 2 + 17) {
+        // Seven hot blocks re-referenced across enough traffic to
+        // force several compactions of the (never-growing) stamps.
+        for i in 0..(INITIAL_STAMPS * 4 + 17) {
             m.record(0, (i as u32 % 7) * 32, false);
         }
         m.record(1, 0x000, false);
@@ -341,5 +371,21 @@ mod tests {
         assert_eq!(s.buckets.iter().sum::<u64>(), 1);
         let hit_small = s.miss_ratio(8);
         assert_eq!(hit_small, 0.0, "distance must stay ≤ 6: {s:?}");
+    }
+
+    #[test]
+    fn stamp_space_grows_past_its_initial_size() {
+        // 3× the initial stamps of distinct blocks, walked twice:
+        // every re-touch skipped every other block, across two
+        // doublings and the compactions between them.
+        let mut stack = StackDistance::new();
+        let n = 3 * INITIAL_STAMPS as u32;
+        for b in 0..n {
+            assert_eq!(stack.touch(b), None);
+        }
+        for b in 0..n {
+            assert_eq!(stack.touch(b), Some(u64::from(n) - 1));
+        }
+        assert!(stack.bit.len() > n as usize);
     }
 }

@@ -6,10 +6,13 @@
 //! address, same block) so the MRU fast path in `Cache::access` is
 //! exercised against the reference on every run, not just the generic
 //! walk-the-set path.
+//!
+//! The three-Cs miss classes are checked against their definitions
+//! over a naive most-recent-first list of every block touched.
 
 use std::collections::VecDeque;
 
-use dl_sim::{Cache, CacheConfig};
+use dl_sim::{Cache, CacheConfig, MissClass, MissClasses};
 use dl_testkit::{cases, Rng};
 
 /// A transparently-correct LRU model: one deque of tags per set,
@@ -164,5 +167,71 @@ fn repeat_access_always_hits() {
         c.access(addr);
         assert!(c.access(addr));
         assert!(c.access(addr));
+    });
+}
+
+/// Every miss of a profiled cache carries the class its definition
+/// gives, judged on a naive most-recent-first list of every block
+/// touched: a block never seen is compulsory; one among the
+/// `size/block` most recent would have hit a fully-associative LRU of
+/// equal capacity, so it is conflict; anything else is capacity.
+#[test]
+fn miss_classes_match_their_definitions() {
+    cases(24, 0xcac4e6, |rng| {
+        let cfg = arb_config(rng);
+        let cap = (cfg.size_bytes() / cfg.block_bytes()) as usize;
+        let block_addr = |region: u32, block: u32| region + block * cfg.block_bytes();
+        let mut stream = arb_stream(rng);
+        // A tail cycling over more than 1,024 blocks: the classifier's
+        // stack must compact and grow its stamp space.
+        let tail = 1025 + rng.index(512) as u32;
+        for _ in 0..2 {
+            stream.extend((0..tail).map(|b| block_addr(0x3000_0000, b)));
+        }
+        // Cycles of cap-1, cap and cap+1 random blocks: re-touches land
+        // one under, at, and one over the capacity boundary, and random
+        // placement crowds some sets so they actually miss.
+        for (region, len) in [
+            (0x4000_0000, cap - 1),
+            (0x5000_0000, cap),
+            (0x6000_0000, cap + 1),
+        ] {
+            let mut blocks = std::collections::BTreeSet::new();
+            while blocks.len() < len {
+                blocks.insert(rng.range_u32(0, 1 << 16));
+            }
+            for _ in 0..3 {
+                stream.extend(blocks.iter().map(|&b| block_addr(region, b)));
+            }
+        }
+        let mut cache = Cache::new(cfg);
+        cache.enable_profiling();
+        let mut reference = RefCache::new(cfg);
+        let mut recency: Vec<u32> = Vec::new();
+        let mut expected = MissClasses::default();
+        for &addr in &stream {
+            let block = addr / cfg.block_bytes();
+            let position = recency.iter().position(|&b| b == block);
+            let hit = cache.access(addr);
+            assert_eq!(hit, reference.access(addr), "profiling perturbed {addr:#x}");
+            if !hit {
+                let class = match position {
+                    None => MissClass::Compulsory,
+                    Some(p) if p < cap => MissClass::Conflict,
+                    Some(_) => MissClass::Capacity,
+                };
+                assert_eq!(
+                    cache.last_miss_class(),
+                    Some(class),
+                    "{addr:#x} under {cfg}: stack position {position:?}, capacity {cap}"
+                );
+                expected.add(class);
+            }
+            if let Some(p) = position {
+                recency.remove(p);
+            }
+            recency.insert(0, block);
+        }
+        assert_eq!(cache.profile().expect("profiling on").classes, expected);
     });
 }

@@ -10,7 +10,7 @@ use dl_mips::program::Program;
 use dl_sim::trace::capture_trace;
 use dl_sim::{
     run, run_full, CacheConfig, Engine, Inclusion, L2Config, MemoryConfig, ObserveConfig, Policy,
-    PrefetchConfig, RunConfig, RunResult, StridePrefetchConfig, Trap,
+    Prefetch, RunConfig, RunResult, Trap,
 };
 use dl_testkit::{cases, progen, Rng};
 
@@ -151,7 +151,11 @@ fn random_programs_agree_with_prefetch() {
             .collect();
         let config = RunConfig {
             max_steps: 100_000,
-            prefetch: Some(PrefetchConfig::next_line(sites)),
+            memory: MemoryConfig {
+                prefetch: Some(Prefetch::NextLine(1)),
+                ..MemoryConfig::default()
+            },
+            prefetch_sites: Some(sites),
             ..RunConfig::default()
         };
         let _ = assert_engines_agree(&program, &config);
@@ -315,7 +319,7 @@ fn memory_matrix() -> Vec<MemoryConfig> {
             Some(L2Config::kb(64, 8, Inclusion::Inclusive)),
             Some(L2Config::kb(64, 8, Inclusion::Exclusive)),
         ] {
-            for prefetch in [None, Some(StridePrefetchConfig::degree(2))] {
+            for prefetch in [None, Some(Prefetch::Stride(2))] {
                 configs.push(MemoryConfig {
                     policy,
                     l2,
@@ -388,7 +392,7 @@ fn matrix_observability_is_zero_perturbation() {
         MemoryConfig {
             policy: Policy::Random,
             l2: Some(L2Config::kb(64, 8, Inclusion::Inclusive)),
-            prefetch: Some(StridePrefetchConfig::degree(2)),
+            prefetch: Some(Prefetch::Stride(2)),
         },
     ];
     let scan = parse_asm(&progen::strided_scan_program(8, 500)).unwrap();
@@ -494,7 +498,7 @@ fn set_thrash_agrees_across_engines_under_every_policy() {
 #[test]
 fn stride_prefetcher_hides_streaming_misses_only() {
     let prefetch = MemoryConfig {
-        prefetch: Some(StridePrefetchConfig::degree(2)),
+        prefetch: Some(Prefetch::Stride(2)),
         ..MemoryConfig::default()
     };
     let scan = parse_asm(&progen::strided_scan_program(32, 900)).unwrap();

@@ -72,8 +72,7 @@ use dl_experiments::metrics::{pi, rho};
 use dl_experiments::obs::SpanPassObserver;
 use dl_obs::{chrome_trace, Json, Spans};
 use dl_sim::{
-    run, run_full, Engine, L2Config, MemoryConfig, ObserveConfig, RunConfig, RunResult,
-    StridePrefetchConfig,
+    run, run_full, Engine, L2Config, MemoryConfig, ObserveConfig, Prefetch, RunConfig, RunResult,
 };
 
 fn main() -> ExitCode {
@@ -116,7 +115,7 @@ fn memory_from_env() -> Result<MemoryConfig, String> {
     }
     if let Ok(v) = std::env::var("DL_PREFETCH") {
         let degree: u32 = v.parse().map_err(|e| format!("DL_PREFETCH: {e}"))?;
-        memory.prefetch = (degree > 0).then(|| StridePrefetchConfig::degree(degree));
+        memory.prefetch = (degree > 0).then_some(Prefetch::Stride(degree));
     }
     Ok(memory)
 }
@@ -190,8 +189,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--prefetch requires a degree (0 disables)")?
                     .parse::<u32>()
                     .map_err(|e| e.to_string())?;
-                options.memory.prefetch =
-                    (degree > 0).then(|| StridePrefetchConfig::degree(degree));
+                options.memory.prefetch = (degree > 0).then_some(Prefetch::Stride(degree));
             }
             "--trace-out" => {
                 options.trace_out = Some(it.next().ok_or("--trace-out requires a path")?.clone());
@@ -984,7 +982,7 @@ mod tests {
         assert_eq!(o.memory.policy, Policy::Plru);
         let l2 = o.memory.l2.expect("l2 configured");
         assert_eq!(l2.inclusion, Inclusion::Exclusive);
-        assert_eq!(o.memory.prefetch.map(|pf| pf.degree), Some(2));
+        assert_eq!(o.memory.prefetch, Some(Prefetch::Stride(2)));
         assert_eq!(o.memory.to_string(), "plru+l2:64KB-8w-excl+pf2");
         // Degree 0 and `--l2 none` disable their subsystems.
         let off = opts(&["prog.mc", "--prefetch", "0", "--l2", "none"]).unwrap();

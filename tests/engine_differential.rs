@@ -7,8 +7,7 @@
 use delinquent_loads::prelude::*;
 use delinquent_loads::workloads::Benchmark;
 use dl_sim::{
-    run_full, Engine, Inclusion, L2Config, MemoryConfig, ObserveConfig, Policy,
-    StridePrefetchConfig,
+    run_full, Engine, Inclusion, L2Config, MemoryConfig, ObserveConfig, Policy, Prefetch,
 };
 
 /// Reduced inputs so the whole suite runs in seconds even unoptimized
@@ -108,11 +107,11 @@ fn extension_workloads_identical_across_engines_under_memory_matrix() {
         },
         MemoryConfig {
             l2: Some(L2Config::kb(64, 8, Inclusion::Exclusive)),
-            prefetch: Some(StridePrefetchConfig::degree(2)),
+            prefetch: Some(Prefetch::Stride(2)),
             ..MemoryConfig::default()
         },
         MemoryConfig {
-            prefetch: Some(StridePrefetchConfig::degree(4)),
+            prefetch: Some(Prefetch::Stride(4)),
             ..MemoryConfig::default()
         },
     ];
@@ -150,7 +149,7 @@ fn extension_workloads_identical_across_engines_under_memory_matrix() {
 #[test]
 fn hidden_miss_ledger_matches_prefetch_counters() {
     let memory = MemoryConfig {
-        prefetch: Some(StridePrefetchConfig::degree(2)),
+        prefetch: Some(Prefetch::Stride(2)),
         ..MemoryConfig::default()
     };
     let mut hidden_somewhere = false;
