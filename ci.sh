@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Offline CI for the delinquent-loads reproduction.
 #
-#   ./ci.sh          # full gate: fmt, build, test, bench smoke
+#   ./ci.sh          # full gate: fmt, build, test, benchmark smoke and perf gate
 #
 # Everything here must pass with no network access.
 
@@ -19,55 +19,6 @@ cargo test -q --workspace
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== bench smoke =="
-# Written to /tmp so the smoke run never clobbers the tracked
-# full-run numbers in BENCH_pipeline.json. Smoke keeps --best-of 2:
-# enough to exercise the best-of machinery without the committed
-# numbers' full repetition count.
-./target/release/bench --smoke --jobs 2 --best-of 2 --out /tmp/ci_bench.json
-test -s /tmp/ci_bench.json
-
-# Validate the benchmark JSON is well-formed and has the agreed keys.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - <<'EOF'
-import json
-doc = json.load(open("/tmp/ci_bench.json"))
-for key in ("jobs", "sequential_secs", "parallel_secs", "speedup", "memo", "analysis", "sim_insts_per_sec"):
-    assert key in doc, f"bench JSON missing {key}"
-assert doc["sequential_secs"] > 0 and doc["parallel_secs"] > 0
-analysis = doc["analysis"]
-for key in ("contexts", "hits", "misses", "hit_rate", "compute_secs"):
-    assert key in analysis, f"bench analysis section missing {key}"
-assert analysis["contexts"] > 0, "bench recorded no analysis contexts"
-# Block-engine contract: the throughput section reports both engines
-# and the block-cache counters prove the decoded-block path ran.
-assert doc["sim_engine"] == "block", "throughput engine is not the block engine"
-for key in ("sim_step_insts_per_sec", "sim_engine_speedup",
-            "sim_l2_insts_per_sec", "sim_prefetch_insts_per_sec"):
-    assert doc.get(key, 0) > 0, f"bench JSON missing {key}"
-# The recorded repetition count of the best-of methodology.
-assert doc.get("best_of", 0) == 2, "smoke run did not record --best-of 2"
-bc = doc["block_cache"]
-for key in ("blocks_decoded", "insts_decoded", "mean_block_len",
-            "dispatches", "dispatch_hits", "insts_retired"):
-    assert key in bc, f"bench block_cache missing {key}"
-assert bc["dispatches"] > 0, "block engine never dispatched a block"
-assert bc["insts_retired"] > 0, "block engine retired no instructions"
-print("bench JSON OK:", json.dumps(doc))
-EOF
-elif command -v jq >/dev/null 2>&1; then
-  jq -e '.jobs and .sequential_secs > 0 and .parallel_secs > 0 and .speedup and .memo and .sim_insts_per_sec
-         and .sim_engine == "block" and .sim_step_insts_per_sec > 0 and .sim_engine_speedup > 0
-         and .sim_l2_insts_per_sec > 0 and .sim_prefetch_insts_per_sec > 0
-         and .best_of == 2
-         and .block_cache.dispatches > 0 and .block_cache.insts_retired > 0
-         and .analysis.contexts > 0 and .analysis.hit_rate != null' \
-    /tmp/ci_bench.json >/dev/null
-  echo "bench JSON OK"
-else
-  echo "warning: neither python3 nor jq available; skipped JSON validation"
-fi
 
 echo "== repro manifest smoke =="
 ./target/release/repro --smoke --jobs 2 --manifest /tmp/ci_manifest.json > /dev/null
@@ -221,12 +172,20 @@ cmp /tmp/ci_run_env.out /tmp/ci_run_mem.out
 cmp /tmp/ci_run_mem.out /tmp/ci_run_mem_step.out
 echo "dlc memory flags OK"
 
-echo "== perf-regression gate (bench-diff) =="
-# Smoke-run numbers against the committed full-run baseline. Hosts
-# and smoke inputs vary wildly, so the threshold is deliberately
-# generous: this gate catches order-of-magnitude collapses (an engine
-# falling off its fast path), not scheduling noise.
-./target/release/dlc bench-diff BENCH_pipeline.json /tmp/ci_bench.json --threshold 75
+echo "== repository benchmark: own tests, smoke run, perf-regression gate =="
+# perfbench's tests and its runs share one target dir: run.py builds
+# into $CARGO_TARGET_DIR, or .bench_build when that is unset.
+bench_target="${CARGO_TARGET_DIR:-.bench_build}"
+cargo test -q --release --manifest-path perfbench/Cargo.toml --target-dir "$bench_target"
+# One 1 s run of every workload (seed 1), written in BENCH_e2e.json's
+# shape by the script that regenerates it; a failed op fails here.
+python3 bench_e2e.py 1 1 > /tmp/ci_e2e.json
+# Each workload's insts_per_s against the committed 20 s medians.
+# perfbench normalises host speed, but one short run still swings, so
+# the threshold is deliberately generous: this gate catches
+# order-of-magnitude collapses (an engine falling off its fast path),
+# not scheduling noise.
+./target/release/dlc bench-diff BENCH_e2e.json /tmp/ci_e2e.json --threshold 75
 
 echo "== repro determinism check =="
 ./target/release/repro --jobs 1 table3 > /tmp/ci_seq.out 2>/dev/null

@@ -56,7 +56,7 @@ impl PassObserver for SpanPassObserver {
 /// Top-level inputs that identify one observed run.
 #[derive(Debug, Clone, Default)]
 pub struct RunInfo {
-    /// Binary name (`repro`, `bench`, …).
+    /// Binary name (`repro`, …).
     pub command: String,
     /// Worker count used for prewarming.
     pub jobs: usize,

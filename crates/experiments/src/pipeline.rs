@@ -1,14 +1,15 @@
 //! The compile → simulate → analyze pipeline, memoized per
 //! (benchmark, optimization level, input set, cache geometry).
 //!
-//! The memo table is thread-safe and **sharded**: keys hash to one of
-//! [`SHARDS`] independent `Mutex<HashMap>` shards, so concurrent
-//! requests for different configurations never contend on a single
-//! global lock. Requests for the same key are deduplicated *in
-//! flight* — the first thread to claim a key runs the simulation while
-//! every other thread requesting it blocks on that shard's condition
-//! variable and receives the shared result, so a configuration is
-//! simulated exactly once no matter how many threads race for it.
+//! The memo table is thread-safe: one `Mutex<HashMap>` maps each key
+//! to a shared `OnceLock` cell, and the lock is held only for that
+//! lookup. Requests for the same key are deduplicated *in flight* —
+//! the first thread to reach the cell runs the simulation while every
+//! other thread requesting it blocks in `OnceLock::get_or_init` and
+//! receives the shared result, so a configuration is simulated
+//! exactly once no matter how many threads race for it. If the
+//! simulating thread panics, the cell stays empty and a waiter
+//! simulates instead.
 //!
 //! Compilation and analysis are additionally memoized per
 //! `(benchmark, opt)` — independent of input set and cache geometry —
@@ -21,11 +22,9 @@
 //! [`Pipeline::set_classify_misses`] is enabled — the simulator's
 //! miss-class breakdown on every run it computes.
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 use dl_analysis::ctx::{AnalysisCtx, CtxStats};
@@ -41,11 +40,6 @@ use dl_workloads::Benchmark;
 
 use crate::obs::SpanPassObserver;
 
-/// Number of memo-table shards. A small power of two: plenty to spread
-/// ~100 configurations across worker threads without measurable memory
-/// cost.
-pub const SHARDS: usize = 16;
-
 /// Everything produced by one end-to-end benchmark run.
 #[derive(Debug)]
 pub struct BenchRun {
@@ -56,6 +50,10 @@ pub struct BenchRun {
     /// pipeline's per-`(bench, opt)` ctx: every run of the same
     /// compilation shares one set of pass caches.
     ctx: AnalysisCtx,
+    /// The input the program ran on. The memo key names the input
+    /// set, not its values, so a run that must repeat this one under
+    /// another configuration takes its input from here.
+    input: Vec<i32>,
     /// Simulation measurements.
     pub result: RunResult,
 }
@@ -67,6 +65,12 @@ impl BenchRun {
     #[must_use]
     pub fn ctx(&self) -> &AnalysisCtx {
         &self.ctx
+    }
+
+    /// The input values the simulation read.
+    #[must_use]
+    pub fn input(&self) -> &[i32] {
+        &self.input
     }
 
     /// The compiled program.
@@ -96,44 +100,9 @@ impl BenchRun {
 
 type Key = (String, OptLevel, u8, CacheConfig, MemoryConfig);
 
-/// State of one memo-table entry.
-#[derive(Debug)]
-enum Slot {
-    /// A thread is currently computing this configuration.
-    InFlight,
-    /// The finished run, shared by every requester.
-    Ready(Arc<BenchRun>),
-}
-
-/// One shard of the memo table: its own map and its own wakeup
-/// channel for in-flight waiters.
-#[derive(Debug, Default)]
-struct Shard {
-    runs: Mutex<HashMap<Key, Slot>>,
-    ready: Condvar,
-}
-
-/// Removes an in-flight claim if the owning thread unwinds, so
-/// waiters wake up and one of them re-claims the key instead of
-/// deadlocking.
-struct InFlightGuard<'a> {
-    shard: &'a Shard,
-    key: Key,
-    armed: bool,
-}
-
-impl Drop for InFlightGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            let mut runs = self.shard.runs.lock().expect("pipeline lock");
-            if matches!(runs.get(&self.key), Some(Slot::InFlight)) {
-                runs.remove(&self.key);
-            }
-            drop(runs);
-            self.shard.ready.notify_all();
-        }
-    }
-}
+/// One memo-table entry: empty while its simulation is in flight (or
+/// after it panicked), then the finished run shared by every requester.
+type Slot = Arc<OnceLock<Arc<BenchRun>>>;
 
 /// Snapshot of the pipeline's memo-table counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -228,7 +197,7 @@ struct Counters {
 /// single in-flight computation finishes and then share its result.
 #[derive(Debug)]
 pub struct Pipeline {
-    shards: Vec<Shard>,
+    runs: Mutex<HashMap<Key, Slot>>,
     /// One analysis context per `(bench, opt)`: the 99-configuration
     /// sweep analyzes each of its programs exactly once, no matter how
     /// many input sets, cache geometries, or predictors consume them.
@@ -253,7 +222,7 @@ pub struct Pipeline {
 impl Default for Pipeline {
     fn default() -> Self {
         Pipeline {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
+            runs: Mutex::default(),
             compiled: Mutex::default(),
             counters: Counters::default(),
             timings: Mutex::default(),
@@ -340,20 +309,14 @@ impl Pipeline {
         *self.observe.lock().expect("observe lock") = config;
     }
 
-    fn shard_of(&self, key: &Key) -> &Shard {
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % SHARDS]
-    }
-
     /// Runs (or returns the memoized run of) one configuration.
     ///
     /// # Panics
     ///
     /// Panics if the benchmark fails to compile or traps during
     /// simulation — both indicate bugs in the bundled workloads and
-    /// are covered by tests. A panic releases the in-flight claim so
-    /// concurrent waiters do not deadlock.
+    /// are covered by tests. A panic leaves the entry empty, so a
+    /// concurrent waiter simulates it instead of deadlocking.
     #[must_use]
     pub fn run(
         &self,
@@ -375,8 +338,8 @@ impl Pipeline {
     ///
     /// Panics if the benchmark fails to compile or traps during
     /// simulation — both indicate bugs in the bundled workloads and
-    /// are covered by tests. A panic releases the in-flight claim so
-    /// concurrent waiters do not deadlock.
+    /// are covered by tests. A panic leaves the entry empty, so a
+    /// concurrent waiter simulates it instead of deadlocking.
     #[must_use]
     pub fn run_mem(
         &self,
@@ -387,46 +350,30 @@ impl Pipeline {
         memory: MemoryConfig,
     ) -> Arc<BenchRun> {
         let key: Key = (bench.name.to_owned(), opt, input_set, cache, memory);
-        let shard = self.shard_of(&key);
-        {
-            let mut waited = false;
-            let mut runs = shard.runs.lock().expect("pipeline lock");
-            loop {
-                match runs.get(&key) {
-                    Some(Slot::Ready(run)) => {
-                        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-                        return Arc::clone(run);
-                    }
-                    Some(Slot::InFlight) => {
-                        // Another thread is computing this key; wait
-                        // for it to finish (or unwind) and re-check.
-                        if !waited {
-                            waited = true;
-                            self.counters.waits.fetch_add(1, Ordering::Relaxed);
-                        }
-                        runs = shard.ready.wait(runs).expect("pipeline lock");
-                    }
-                    None => {
-                        runs.insert(key.clone(), Slot::InFlight);
-                        break;
-                    }
-                }
-            }
+        let slot = Arc::clone(
+            self.runs
+                .lock()
+                .expect("pipeline lock")
+                .entry(key)
+                .or_default(),
+        );
+        if let Some(run) = slot.get() {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(run);
         }
-        // We own the in-flight claim; compute outside the lock.
-        self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = InFlightGuard {
-            shard,
-            key: key.clone(),
-            armed: true,
-        };
-        let run = Arc::new(self.compute(bench, opt, input_set, cache, memory));
-        guard.armed = false;
-        let mut runs = shard.runs.lock().expect("pipeline lock");
-        runs.insert(key, Slot::Ready(Arc::clone(&run)));
-        drop(runs);
-        shard.ready.notify_all();
-        run
+        // Either this thread simulates, or it blocks until the thread
+        // that got there first finishes and then shares its run.
+        let mut computed = false;
+        let run = slot.get_or_init(|| {
+            computed = true;
+            self.counters.misses.fetch_add(1, Ordering::Relaxed);
+            Arc::new(self.compute(bench, opt, input_set, cache, memory))
+        });
+        if !computed {
+            self.counters.waits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+        }
+        Arc::clone(run)
     }
 
     /// Compiles and analyzes `bench` at `opt`, memoized per
@@ -534,6 +481,7 @@ impl Pipeline {
         BenchRun {
             name: bench.name.to_owned(),
             ctx: compiled.with_profile(&result.exec_counts),
+            input: config.input,
             result,
         }
     }
@@ -541,18 +489,7 @@ impl Pipeline {
     /// Number of distinct simulations completed so far.
     #[must_use]
     pub fn simulations(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .runs
-                    .lock()
-                    .expect("pipeline lock")
-                    .values()
-                    .filter(|s| matches!(s, Slot::Ready(_)))
-                    .count()
-            })
-            .sum()
+        self.ready_runs().len()
     }
 
     /// Snapshot of the memo-table counters.
@@ -614,20 +551,11 @@ impl Pipeline {
     /// e.g. the miss-class breakdown — without re-running anything.
     #[must_use]
     pub fn ready_runs(&self) -> Vec<Arc<BenchRun>> {
-        self.shards
-            .iter()
-            .flat_map(|shard| {
-                shard
-                    .runs
-                    .lock()
-                    .expect("pipeline lock")
-                    .values()
-                    .filter_map(|s| match s {
-                        Slot::Ready(run) => Some(Arc::clone(run)),
-                        Slot::InFlight => None,
-                    })
-                    .collect::<Vec<_>>()
-            })
+        self.runs
+            .lock()
+            .expect("pipeline lock")
+            .values()
+            .filter_map(|slot| slot.get().cloned())
             .collect()
     }
 }

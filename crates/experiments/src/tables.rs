@@ -918,7 +918,7 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
                     prefetch: Some(Prefetch::NextLine(1)),
                     ..MemoryConfig::default()
                 },
-                input: bench.input1.clone(),
+                input: base.input().to_vec(),
                 prefetch_sites: Some(sites.clone()),
                 ..RunConfig::default()
             };
@@ -1128,7 +1128,7 @@ pub fn profile_geometries(p: &Pipeline) -> Table {
             let run = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
             let config = RunConfig {
                 cache: CacheConfig::paper_baseline(),
-                input: bench.input1.clone(),
+                input: run.input().to_vec(),
                 reuse_profile: true,
                 ..RunConfig::default()
             };
@@ -1474,6 +1474,94 @@ mod tests {
         );
     }
 
+    /// A pipeline prewarmed like `repro --smoke` on `jobs` workers:
+    /// every spec of `table` with its inputs clamped small.
+    fn smoke_pipeline(table: &str, jobs: usize) -> (Pipeline, Vec<crate::schedule::RunSpec>) {
+        let p = Pipeline::new();
+        let mut specs = crate::schedule::table_specs(table);
+        for spec in &mut specs {
+            for v in spec
+                .bench
+                .input1
+                .iter_mut()
+                .chain(spec.bench.input2.iter_mut())
+            {
+                *v = (*v).clamp(1, 64);
+            }
+        }
+        crate::schedule::prewarm(&p, &specs, jobs);
+        (p, specs)
+    }
+
+    /// The prefetch runs bypass the memo, so they must take the input
+    /// of the memoized base run they are compared with: after a shrunk
+    /// prewarm, the `all loads` row equals two direct runs per
+    /// benchmark on the shrunk input.
+    #[test]
+    fn prefetch_runs_use_the_memoized_input() {
+        let (p, specs) = smoke_pipeline("extension-prefetch", 1);
+        let table = extension_prefetch(&p);
+        let row = table
+            .rows
+            .iter()
+            .find(|r| r[0] == "all loads")
+            .expect("all-loads row");
+        let (mut reductions, mut issued, mut removed) = (vec![], 0u64, 0u64);
+        for spec in &specs {
+            let sites = p.run(&spec.bench, spec.opt, 1, spec.cache).load_indices();
+            let program = spec.bench.compile(spec.opt).expect("compiles");
+            let mut config = dl_sim::RunConfig {
+                cache: spec.cache,
+                input: spec.bench.input1.clone(),
+                ..dl_sim::RunConfig::default()
+            };
+            let before = dl_sim::run(&program, &config).expect("runs");
+            config.memory.prefetch = Some(Prefetch::NextLine(1));
+            config.prefetch_sites = Some(sites);
+            let after = dl_sim::run(&program, &config).expect("runs");
+            let gone = before
+                .load_misses_total
+                .saturating_sub(after.load_misses_total);
+            reductions.push(gone as f64 / before.load_misses_total.max(1) as f64);
+            issued += after.prefetches_issued;
+            removed += gone;
+        }
+        assert_eq!(reductions.len(), 4);
+        assert_eq!(row[2], pct(avg(&reductions), 1));
+        assert_eq!(
+            row[3],
+            format!("{:.1}", issued as f64 / removed.max(1) as f64)
+        );
+    }
+
+    /// Likewise for the shadow-LRU runs of `profile-geometries`: its
+    /// 8 KiB `shadow-LRU miss` cell equals direct measurements on the
+    /// shrunk inputs of the memoized runs.
+    #[test]
+    fn shadow_runs_use_the_memoized_input() {
+        let (p, specs) = smoke_pipeline("profile-geometries", 1);
+        let table = profile_geometries(&p);
+        let mut ratios = vec![];
+        for name in ["181.mcf", "183.equake", "179.art", "164.gzip"] {
+            let spec = specs
+                .iter()
+                .find(|s| s.bench.name == name && s.cache == CacheConfig::paper_baseline())
+                .expect("baseline spec");
+            let program = spec.bench.compile(spec.opt).expect("compiles");
+            let config = dl_sim::RunConfig {
+                cache: spec.cache,
+                input: spec.bench.input1.clone(),
+                reuse_profile: true,
+                ..dl_sim::RunConfig::default()
+            };
+            let out = dl_sim::run_full(&program, &config).expect("runs");
+            let measured = out.reuse.expect("reuse measurement collected");
+            ratios.push(measured.aggregate_miss_ratio(8 * 1024 / 32));
+        }
+        assert_eq!(table.rows[0][0], "8KB/2-way");
+        assert_eq!(table.rows[0][2], pct(avg(&ratios), 2));
+    }
+
     /// Two fresh pipelines must render byte-identical memmatrix tables:
     /// the random replacement policy is seeded from the run
     /// configuration, never from ambient entropy, so the sweep is
@@ -1482,19 +1570,7 @@ mod tests {
     #[test]
     fn memmatrix_table_is_deterministic() {
         let render = || {
-            let p = Pipeline::new();
-            let mut specs = crate::schedule::table_specs("extension-memmatrix");
-            for spec in &mut specs {
-                for v in spec
-                    .bench
-                    .input1
-                    .iter_mut()
-                    .chain(spec.bench.input2.iter_mut())
-                {
-                    *v = (*v).clamp(1, 64);
-                }
-            }
-            crate::schedule::prewarm(&p, &specs, 4);
+            let (p, _) = smoke_pipeline("extension-memmatrix", 4);
             extension_memmatrix(&p).to_markdown()
         };
         let first = render();

@@ -1,35 +1,33 @@
 //! # dl-obs
 //!
 //! Zero-dependency observability for the delinquent-loads pipeline:
-//! hierarchical wall-clock [`span`]s, a thread-safe [`metrics`]
-//! registry (counters, gauges, log2-bucket histograms), a minimal
-//! [`json`] value model, and a [`manifest`] builder that renders both
-//! the machine-readable `RUN_MANIFEST.json` and a human `--profile`
-//! text report.
+//! wall-clock [`span`]s, a lock-free log2-bucket [`metrics::Histogram`],
+//! a minimal [`json`] value model, and a [`manifest`] builder that
+//! renders both the machine-readable `RUN_MANIFEST.json` and a human
+//! `--profile` text report.
 //!
-//! Design rule: **recorded values are deterministic, timings are
-//! segregated**. Counters and histograms only ever hold values the
-//! program computed (memo hits, miss counts, bucket tallies); wall
-//! clock readings live exclusively in span records and in manifest
-//! fields whose key ends in `secs`, so [`manifest::Manifest::zero_timings`]
-//! can strip every nondeterministic byte and golden tests can assert
-//! the full manifest structure.
+//! Design rule: **timings are segregated**. Wall-clock readings live
+//! only in span records and in manifest fields whose key contains
+//! `sec`, so [`manifest::Manifest::zero_timings`] can strip every
+//! nondeterministic byte and golden tests can assert the full
+//! manifest structure.
 //!
 //! # Example
 //!
 //! ```
-//! use dl_obs::metrics::Registry;
+//! use dl_obs::metrics::Histogram;
 //! use dl_obs::span::Spans;
 //!
-//! let registry = Registry::default();
 //! let spans = Spans::default();
-//! {
-//!     let warm = spans.enter("repro/warm");
-//!     registry.counter("memo.miss").add(3);
-//!     let _sim = warm.child("simulate");
-//! } // guards record on drop
-//! assert_eq!(registry.counter("memo.miss").get(), 3);
-//! assert_eq!(spans.records().len(), 2);
+//! let insts = Histogram::default();
+//! let total = spans.time("repro/warm", || {
+//!     insts.record(1000);
+//!     insts.record(3000);
+//!     insts.sum()
+//! });
+//! assert_eq!(total, 4000);
+//! assert_eq!(insts.count(), 2);
+//! assert_eq!(spans.records()[0].path, "repro/warm");
 //! ```
 
 #![warn(missing_docs)]
@@ -42,7 +40,7 @@ pub mod trace;
 
 pub use json::Json;
 pub use manifest::Manifest;
-pub use metrics::{Counter, Gauge, Histogram, Registry};
+pub use metrics::Histogram;
 pub use span::{current_tid, SpanGuard, SpanRecord, Spans};
 pub use trace::chrome_trace;
 

@@ -8,7 +8,6 @@
 //! golden tests assert the zeroed rendering is stable.
 
 use crate::json::Json;
-use crate::metrics::Registry;
 use crate::span::Spans;
 
 /// Schema tag written into every manifest.
@@ -21,7 +20,7 @@ pub struct Manifest {
 }
 
 impl Manifest {
-    /// Creates a manifest for the named command (`repro`, `bench`, …).
+    /// Creates a manifest for the named command (`repro`, …).
     #[must_use]
     pub fn new(command: &str) -> Self {
         Manifest {
@@ -77,46 +76,6 @@ impl Manifest {
             })
             .collect();
         self.with("stages", Json::Arr(stages))
-    }
-
-    /// Adds `counters` / `gauges` / `histograms` sections from a
-    /// registry snapshot (sorted by name; empty sections omitted).
-    #[must_use]
-    pub fn with_registry(mut self, registry: &Registry) -> Self {
-        let counters = registry.counter_values();
-        if !counters.is_empty() {
-            let obj = counters
-                .into_iter()
-                .map(|(k, v)| (k, Json::U64(v)))
-                .collect();
-            self.root.set("counters", Json::Obj(obj));
-        }
-        let gauges = registry.gauge_values();
-        if !gauges.is_empty() {
-            let obj = gauges.into_iter().map(|(k, v)| (k, Json::U64(v))).collect();
-            self.root.set("gauges", Json::Obj(obj));
-        }
-        let histograms = registry.histogram_values();
-        if !histograms.is_empty() {
-            let obj = histograms
-                .into_iter()
-                .map(|(name, (count, sum, buckets))| {
-                    let b = buckets
-                        .into_iter()
-                        .map(|(i, n)| Json::obj().with("bucket", i.into()).with("count", n.into()))
-                        .collect();
-                    (
-                        name,
-                        Json::obj()
-                            .with("count", count.into())
-                            .with("sum", sum.into())
-                            .with("buckets", Json::Arr(b)),
-                    )
-                })
-                .collect();
-            self.root.set("histograms", Json::Obj(obj));
-        }
-        self
     }
 
     /// Zeroes every number stored under a timing key — one containing

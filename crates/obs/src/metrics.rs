@@ -1,59 +1,11 @@
-//! Thread-safe metric primitives and a named registry.
+//! A lock-free log2-bucket histogram.
 //!
-//! All primitives are lock-free after creation: a [`Counter`] or
-//! [`Histogram`] handle obtained from the [`Registry`] can be hammered
-//! from any number of threads with only atomic adds. Values recorded
-//! here must be *deterministic program facts* (counts, sizes, bucket
-//! tallies) — wall-clock readings belong in [`crate::span`], never in
-//! a metric, so metric snapshots are stable across runs.
+//! Threads sharing one [`Histogram`] record into it with only atomic
+//! adds, and its bucket layout is the same on every platform and every
+//! run, so a histogram of deterministic values (instruction counts,
+//! sizes) snapshots identically across runs.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// Adds one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Adds `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins atomic gauge.
-#[derive(Debug, Default)]
-pub struct Gauge(AtomicU64);
-
-impl Gauge {
-    /// Sets the gauge.
-    pub fn set(&self, v: u64) {
-        self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Raises the gauge to `v` if `v` is larger (atomic max).
-    pub fn raise(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
 
 /// Number of buckets in a [`Histogram`]: bucket 0 holds exact zeros,
 /// bucket `k` (1 ≤ k ≤ 64) holds values in `[2^(k-1), 2^k)`.
@@ -192,131 +144,9 @@ impl Histogram {
     }
 }
 
-/// One histogram snapshot: `(count, sum, non-empty buckets)`, where
-/// each bucket is `(index, samples)`.
-pub type HistogramSnapshot = (u64, u64, Vec<(usize, u64)>);
-
-/// A named, thread-safe registry of metrics.
-///
-/// Lookup takes a short-lived lock; the returned `Arc` handle is then
-/// lock-free. Names are stored sorted so snapshots iterate in a
-/// deterministic order.
-#[derive(Debug, Default)]
-pub struct Registry {
-    counters: Mutex<BTreeMap<String, Arc<Counter>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Registry {
-    /// Returns (creating on first use) the counter named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn counter(&self, name: &str) -> Arc<Counter> {
-        let mut map = self.counters.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_owned()).or_default())
-    }
-
-    /// Returns (creating on first use) the gauge named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut map = self.gauges.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_owned()).or_default())
-    }
-
-    /// Returns (creating on first use) the histogram named `name`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        let mut map = self.histograms.lock().expect("registry lock");
-        Arc::clone(map.entry(name.to_owned()).or_default())
-    }
-
-    /// Snapshot of every counter value, sorted by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn counter_values(&self) -> BTreeMap<String, u64> {
-        self.counters
-            .lock()
-            .expect("registry lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Snapshot of every gauge value, sorted by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn gauge_values(&self) -> BTreeMap<String, u64> {
-        self.gauges
-            .lock()
-            .expect("registry lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), v.get()))
-            .collect()
-    }
-
-    /// Snapshot of every histogram, sorted by name, as
-    /// `(count, sum, non-empty buckets)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the registry lock is poisoned.
-    #[must_use]
-    pub fn histogram_values(&self) -> BTreeMap<String, HistogramSnapshot> {
-        self.histograms
-            .lock()
-            .expect("registry lock")
-            .iter()
-            .map(|(k, v)| (k.clone(), (v.count(), v.sum(), v.nonzero_buckets())))
-            .collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_and_gauge_basics() {
-        let r = Registry::default();
-        let c = r.counter("x");
-        c.inc();
-        c.add(4);
-        assert_eq!(r.counter("x").get(), 5);
-        let g = r.gauge("g");
-        g.set(7);
-        g.raise(3); // lower: no-op
-        assert_eq!(g.get(), 7);
-        g.raise(9);
-        assert_eq!(r.gauge("g").get(), 9);
-    }
-
-    #[test]
-    fn registry_returns_same_instance() {
-        let r = Registry::default();
-        let a = r.counter("same");
-        let b = r.counter("same");
-        a.inc();
-        assert_eq!(b.get(), 1);
-        assert!(Arc::ptr_eq(&a, &b));
-    }
 
     #[test]
     fn quantile_of_empty_histogram_is_none() {
@@ -386,14 +216,5 @@ mod tests {
             assert!(v >= last, "quantile decreased at q={}", f64::from(i) / 20.0);
             last = v;
         }
-    }
-
-    #[test]
-    fn snapshot_is_sorted() {
-        let r = Registry::default();
-        r.counter("b").inc();
-        r.counter("a").add(2);
-        let names: Vec<String> = r.counter_values().into_keys().collect();
-        assert_eq!(names, vec!["a".to_owned(), "b".to_owned()]);
     }
 }

@@ -1,11 +1,10 @@
-//! Hierarchical wall-clock spans.
+//! Wall-clock spans with `/`-separated hierarchical names.
 //!
 //! A [`Spans`] collector accumulates finished [`SpanRecord`]s; a
 //! [`SpanGuard`] times one region and records itself on drop. Nesting
-//! is expressed through `/`-separated paths: `guard.child("sim")`
-//! under a `repro/warm` guard records as `repro/warm/sim`. Guards can
-//! be created and dropped on any thread — the collector is behind a
-//! mutex that is only taken when a span *finishes*.
+//! is expressed through `/`-separated paths such as `repro/warm/sim`.
+//! Guards can be created and dropped on any thread — the collector is
+//! behind a mutex that is only taken when a span *finishes*.
 //!
 //! Every record also carries a *timeline position*: `start_secs` is
 //! the span's start offset from the collector's construction instant
@@ -142,23 +141,6 @@ impl Spans {
     pub fn records(&self) -> Vec<SpanRecord> {
         self.records.lock().expect("span lock").clone()
     }
-
-    /// The total seconds recorded under exactly `path` (summed over
-    /// repeats), or `None` if the path never finished.
-    #[must_use]
-    pub fn total_secs(&self, path: &str) -> Option<f64> {
-        let records = self.records();
-        let matching: Vec<f64> = records
-            .iter()
-            .filter(|r| r.path == path)
-            .map(|r| r.secs)
-            .collect();
-        if matching.is_empty() {
-            None
-        } else {
-            Some(matching.iter().sum())
-        }
-    }
 }
 
 /// An in-progress span; records itself into the collector on drop.
@@ -167,24 +149,6 @@ pub struct SpanGuard<'a> {
     spans: &'a Spans,
     path: String,
     start: Instant,
-}
-
-impl<'a> SpanGuard<'a> {
-    /// Starts a child span named `path/name`.
-    #[must_use]
-    pub fn child(&self, name: &str) -> SpanGuard<'a> {
-        SpanGuard {
-            spans: self.spans,
-            path: format!("{}/{name}", self.path),
-            start: Instant::now(),
-        }
-    }
-
-    /// This span's full path.
-    #[must_use]
-    pub fn path(&self) -> &str {
-        &self.path
-    }
 }
 
 impl Drop for SpanGuard<'_> {
@@ -212,37 +176,11 @@ mod tests {
     }
 
     #[test]
-    fn child_paths_compose() {
-        let spans = Spans::default();
-        {
-            let outer = spans.enter("a");
-            let inner = outer.child("b");
-            let leaf = inner.child("c");
-            assert_eq!(leaf.path(), "a/b/c");
-        }
-        let paths: Vec<String> = spans.records().into_iter().map(|r| r.path).collect();
-        // Drop order: leaf first, root last.
-        assert_eq!(
-            paths,
-            vec!["a/b/c".to_owned(), "a/b".to_owned(), "a".to_owned()]
-        );
-    }
-
-    #[test]
-    fn total_secs_sums_repeats() {
-        let spans = Spans::default();
-        spans.record("x", 1.5);
-        spans.record("x", 0.5);
-        assert_eq!(spans.total_secs("x"), Some(2.0));
-        assert_eq!(spans.total_secs("y"), None);
-    }
-
-    #[test]
     fn time_returns_closure_value() {
         let spans = Spans::default();
         let v = spans.time("calc", || 41 + 1);
         assert_eq!(v, 42);
-        assert!(spans.total_secs("calc").is_some());
+        assert_eq!(spans.records()[0].path, "calc");
     }
 
     #[test]
@@ -264,21 +202,6 @@ mod tests {
         let spans = Spans::default();
         spans.record_at("pre-epoch", early, 0.0);
         assert_eq!(spans.records()[0].start_secs, 0.0);
-    }
-
-    #[test]
-    fn nested_spans_are_ordered_on_the_timeline() {
-        let spans = Spans::default();
-        {
-            let outer = spans.enter("outer");
-            std::thread::sleep(std::time::Duration::from_millis(1));
-            let _inner = outer.child("in");
-        }
-        let records = spans.records();
-        let inner = records.iter().find(|r| r.path == "outer/in").unwrap();
-        let outer = records.iter().find(|r| r.path == "outer").unwrap();
-        assert!(inner.start_secs >= outer.start_secs);
-        assert!(outer.secs >= inner.secs);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //!                                                   # flag possibly-delinquent loads
 //! dlc top    prog.mc [--epoch N] [--limit K]        # miss observatory: rank load sites
 //! dlc bench-diff old.json new.json [--threshold PCT]
-//!                                                   # perf-regression gate over bench JSON
+//!                                                   # perf-regression gate over BENCH_e2e.json
 //! ```
 //!
 //! `--engine step|block` (on `run` and `analyze`) selects the
@@ -55,9 +55,10 @@
 //! misses, with each static predictor's verdict and the site's phase
 //! behavior over epochs alongside.
 //!
-//! `bench-diff` is the perf-regression gate: it compares the
-//! higher-is-better throughput metrics of two `bench --json` outputs
-//! and fails if any dropped by more than `--threshold` percent.
+//! `bench-diff` is the perf-regression gate: it compares each
+//! workload's `insts_per_s` in two files shaped like `BENCH_e2e.json`
+//! (`{workload: {metric: value}}`) and fails if any dropped by more
+//! than `--threshold` percent.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -574,9 +575,9 @@ fn sparkline(values: &[u64], max_cols: usize) -> String {
         .collect()
 }
 
-/// The `bench-diff` perf-regression gate: compares the
-/// higher-is-better throughput metrics of two `bench --json` outputs
-/// and fails if any dropped by more than `threshold` percent.
+/// The `bench-diff` perf-regression gate: compares each workload's
+/// [`GATED`] metric in two `BENCH_e2e.json`-shaped files and fails if
+/// any dropped by more than `threshold` percent.
 fn bench_diff(args: &[String]) -> Result<(), String> {
     let mut threshold = 10.0;
     let mut paths: Vec<String> = Vec::new();
@@ -612,9 +613,8 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
         println!("{row}");
     }
     // One-sided metrics are reported, not gated: a freshly added
-    // throughput entry has no baseline to regress against, and a
-    // removed one is loud here instead of silently vanishing from
-    // the comparison.
+    // workload has no baseline to regress against, and a removed one
+    // is loud here instead of silently vanishing from the comparison.
     for key in &diff.added {
         println!("{key:<26} {:>16} {:>16}   (added in new)", "-", "present");
     }
@@ -639,39 +639,49 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     }
 }
 
+/// The metric `bench-diff` gates: the benchmark's one higher-is-better
+/// end-to-end metric, a rate that a short run measures on the same
+/// scale as a long one. The other five are times and sizes, and
+/// `wall_s` grows with run length.
+const GATED: &str = "insts_per_s";
+
 /// The outcome of one metric comparison pass: formatted rows for the
 /// two-sided metrics, plus the bookkeeping `bench_diff` gates on.
+/// Metrics are named `<workload>.insts_per_s`.
 struct MetricsDiff {
     rows: Vec<String>,
     compared: u32,
-    regressions: Vec<&'static str>,
+    regressions: Vec<String>,
     /// Metrics present only in the new file.
-    added: Vec<&'static str>,
+    added: Vec<String>,
     /// Metrics present only in the old file.
-    removed: Vec<&'static str>,
+    removed: Vec<String>,
 }
 
-/// Compares the throughput metrics (higher-is-better, gated at
-/// `threshold`) of two bench JSON documents. Metrics present in only
-/// one document are classified as added/removed rather than silently
-/// skipped.
+/// Compares each workload's [`GATED`] metric (higher-is-better, gated
+/// at `threshold`) in two `{workload: {metric: value}}` documents.
+/// Members that are not objects (seeds, run length, commit) are not
+/// workloads. A metric present in only one document is classified as
+/// added or removed rather than silently skipped.
 fn diff_metrics(old: &Json, new: &Json, threshold: f64) -> MetricsDiff {
-    // Higher-is-better throughput metrics emitted by `bench --json`.
-    // Ratios (speedups) regress like raw rates: a drop is a slowdown.
-    const METRICS: [&str; 6] = [
-        "sim_insts_per_sec",
-        "sim_step_insts_per_sec",
-        "sim_l2_insts_per_sec",
-        "sim_prefetch_insts_per_sec",
-        "sim_engine_speedup",
-        "speedup",
-    ];
     #[allow(clippy::cast_precision_loss)]
-    let num = |json: &Json, key: &str| match json.get(key) {
-        Some(Json::F64(v)) => Some(*v),
-        Some(Json::U64(v)) => Some(*v as f64),
-        _ => None,
+    let gated = |doc: &Json| -> Vec<(String, f64)> {
+        let Json::Obj(members) = doc else {
+            return Vec::new();
+        };
+        members
+            .iter()
+            .filter_map(|(workload, metrics)| {
+                let value = match metrics.get(GATED)? {
+                    Json::F64(v) => *v,
+                    Json::U64(v) => *v as f64,
+                    _ => return None,
+                };
+                Some((format!("{workload}.{GATED}"), value))
+            })
+            .collect()
     };
+    let (old, new) = (gated(old), gated(new));
     let mut diff = MetricsDiff {
         rows: Vec::new(),
         compared: 0,
@@ -679,27 +689,18 @@ fn diff_metrics(old: &Json, new: &Json, threshold: f64) -> MetricsDiff {
         added: Vec::new(),
         removed: Vec::new(),
     };
-    for key in METRICS {
-        let (o, n) = (num(old, key), num(new, key));
-        let (o, n) = match (o, n) {
-            (Some(o), Some(n)) => (o, n),
-            (None, Some(_)) => {
-                diff.added.push(key);
-                continue;
-            }
-            (Some(_), None) => {
-                diff.removed.push(key);
-                continue;
-            }
-            (None, None) => continue,
+    for (key, o) in &old {
+        let Some((_, n)) = new.iter().find(|(k, _)| k == key) else {
+            diff.removed.push(key.clone());
+            continue;
         };
-        if o <= 0.0 {
+        if *o <= 0.0 {
             continue;
         }
         diff.compared += 1;
         let delta = 100.0 * (n - o) / o;
         let flag = if delta <= -threshold {
-            diff.regressions.push(key);
+            diff.regressions.push(key.clone());
             "  REGRESSION"
         } else {
             ""
@@ -708,6 +709,11 @@ fn diff_metrics(old: &Json, new: &Json, threshold: f64) -> MetricsDiff {
             "{key:<26} {o:>16.3} {n:>16.3} {delta:>+8.1}%{flag}"
         ));
     }
+    diff.added = new
+        .into_iter()
+        .filter(|(key, _)| !old.iter().any(|(k, _)| k == key))
+        .map(|(key, _)| key)
+        .collect();
     diff
 }
 
@@ -1032,8 +1038,20 @@ mod tests {
         let dir = std::env::temp_dir();
         let old = dir.join("dlc_bench_diff_old.json");
         let new = dir.join("dlc_bench_diff_new.json");
-        std::fs::write(&old, r#"{"sim_insts_per_sec": 100.0, "speedup": 2.0}"#).unwrap();
-        std::fs::write(&new, r#"{"sim_insts_per_sec": 55.0, "speedup": 2.1}"#).unwrap();
+        std::fs::write(
+            &old,
+            r#"{"seeds": [1, 2], "seconds": 20, "commit": "abc",
+                "exec": {"wall_s": 10.0, "insts_per_s": 100.0},
+                "tables": {"wall_s": 10.0, "insts_per_s": 2.0}}"#,
+        )
+        .unwrap();
+        std::fs::write(
+            &new,
+            r#"{"seeds": [1], "seconds": 1, "commit": "def",
+                "exec": {"wall_s": 0.5, "insts_per_s": 55.0},
+                "tables": {"wall_s": 0.5, "insts_per_s": 2.1}}"#,
+        )
+        .unwrap();
         let args = |t: &str| {
             vec![
                 old.display().to_string(),
@@ -1044,28 +1062,44 @@ mod tests {
         };
         // A 45% drop fails a 10% gate but passes a 60% one.
         let err = bench_diff(&args("10")).unwrap_err();
-        assert!(err.contains("sim_insts_per_sec"), "unexpected error: {err}");
+        assert!(err.contains("exec.insts_per_s"), "unexpected error: {err}");
+        assert!(!err.contains("tables"), "unexpected error: {err}");
         assert!(bench_diff(&args("60")).is_ok());
-        // A metric that vanished from the new file is reported as
+        // A workload that vanished from the new file is reported as
         // removed — it no longer gates, but it is not silently skipped.
-        std::fs::write(&new, r#"{"speedup": 2.1}"#).unwrap();
+        std::fs::write(&new, r#"{"tables": {"insts_per_s": 2.1}}"#).unwrap();
         assert!(bench_diff(&args("10")).is_ok());
+        // With nothing left to compare, the gate refuses to pass.
+        std::fs::write(&new, r#"{"observed": {"insts_per_s": 1.0}}"#).unwrap();
+        assert!(bench_diff(&args("10")).is_err());
         assert!(bench_diff(&[old.display().to_string()]).is_err());
     }
 
     #[test]
     fn diff_metrics_reports_one_sided_keys_as_added_or_removed() {
-        let old = Json::parse(r#"{"sim_insts_per_sec": 100.0, "speedup": 2.0}"#).unwrap();
-        let new =
-            Json::parse(r#"{"sim_insts_per_sec": 99.0, "sim_l2_insts_per_sec": 80.0}"#).unwrap();
+        let old = Json::parse(
+            r#"{"seeds": [1, 2, 3], "seconds": 20,
+                "exec": {"insts_per_s": 100.0, "wall_s": 1.0},
+                "tables": {"insts_per_s": 2.0}}"#,
+        )
+        .unwrap();
+        let new = Json::parse(
+            r#"{"seeds": [1], "seconds": 1,
+                "exec": {"insts_per_s": 99.0, "wall_s": 9.0},
+                "observed": {"insts_per_s": 80.0}}"#,
+        )
+        .unwrap();
         let d = diff_metrics(&old, &new, 10.0);
+        // Only insts_per_s gates: a ninefold wall_s is no regression.
         assert_eq!(d.compared, 1);
         assert!(d.regressions.is_empty());
-        assert_eq!(d.added, vec!["sim_l2_insts_per_sec"]);
-        assert_eq!(d.removed, vec!["speedup"]);
-        // Metrics absent from both sides appear nowhere.
-        assert!(!d.added.contains(&"sim_prefetch_insts_per_sec"));
-        assert!(!d.removed.contains(&"sim_prefetch_insts_per_sec"));
+        assert_eq!(d.added, vec!["observed.insts_per_s"]);
+        assert_eq!(d.removed, vec!["tables.insts_per_s"]);
+        // Run metadata and ungated metrics appear nowhere.
+        for key in ["seeds.insts_per_s", "exec.wall_s"] {
+            assert!(!d.added.iter().any(|k| k == key));
+            assert!(!d.removed.iter().any(|k| k == key));
+        }
     }
 
     #[test]
