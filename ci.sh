@@ -10,6 +10,7 @@ cd "$(dirname "$0")"
 
 echo "== cargo fmt --check =="
 cargo fmt --all -- --check
+cargo fmt --manifest-path perfbench/Cargo.toml -- --check
 
 echo "== cargo build --release =="
 cargo build --release --workspace
@@ -19,6 +20,9 @@ cargo test -q --workspace
 
 echo "== cargo clippy =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== cargo doc =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "== repro manifest smoke =="
 ./target/release/repro --smoke --jobs 2 --manifest /tmp/ci_manifest.json > /dev/null
@@ -154,19 +158,16 @@ echo "dlc top OK"
 echo "== dlc memory-system smoke =="
 # The memory flags reshape the simulated hierarchy: a stride
 # prefetcher must hide misses on the scan kernel (the `top` report
-# grows a hidden column), the same config must arrive via DL_* env
-# vars, and the step engine must agree byte-for-byte under the full
+# grows a hidden column), a non-default config must report itself on
+# stderr, and the step engine must agree byte-for-byte under the full
 # stack (non-LRU policy + L2 + prefetch).
 ./target/release/dlc top /tmp/ci_top.mc --input 20000 --epoch 8192 --limit 5 \
   --prefetch 2 > /tmp/ci_top_pf.out 2>&1
 grep -q "hidden" /tmp/ci_top_pf.out
 grep -q "hidden by prefetch" /tmp/ci_top_pf.out
-DL_POLICY=plru DL_L2=64 DL_PREFETCH=2 ./target/release/dlc run /tmp/ci_top.mc \
-  --input 20000 > /tmp/ci_run_env.out 2>/tmp/ci_run_env.err
-grep -q "memory plru" /tmp/ci_run_env.err
 ./target/release/dlc run /tmp/ci_top.mc --input 20000 \
-  --policy plru --l2 64 --prefetch 2 > /tmp/ci_run_mem.out 2>/dev/null
-cmp /tmp/ci_run_env.out /tmp/ci_run_mem.out
+  --policy plru --l2 64 --prefetch 2 > /tmp/ci_run_mem.out 2>/tmp/ci_run_mem.err
+grep -q "memory plru" /tmp/ci_run_mem.err
 ./target/release/dlc run /tmp/ci_top.mc --input 20000 --engine step \
   --policy plru --l2 64 --prefetch 2 > /tmp/ci_run_mem_step.out 2>/dev/null
 cmp /tmp/ci_run_mem.out /tmp/ci_run_mem_step.out
@@ -177,6 +178,7 @@ echo "== repository benchmark: own tests, smoke run, perf-regression gate =="
 # into $CARGO_TARGET_DIR, or .bench_build when that is unset.
 bench_target="${CARGO_TARGET_DIR:-.bench_build}"
 cargo test -q --release --manifest-path perfbench/Cargo.toml --target-dir "$bench_target"
+cargo clippy --manifest-path perfbench/Cargo.toml --target-dir "$bench_target" --all-targets -- -D warnings
 # One 1 s run of every workload (seed 1), written in BENCH_e2e.json's
 # shape by the script that regenerates it; a failed op fails here.
 python3 bench_e2e.py 1 1 > /tmp/ci_e2e.json
@@ -192,9 +194,9 @@ echo "== repro determinism check =="
 ./target/release/repro --jobs 4 table3 > /tmp/ci_par.out 2>/dev/null
 cmp /tmp/ci_seq.out /tmp/ci_par.out
 echo "parallel output byte-identical"
-DL_OBS=text ./target/release/repro --jobs 2 table3 > /tmp/ci_obs.out 2>/dev/null
+./target/release/repro --jobs 2 --profile table3 > /tmp/ci_obs.out 2>/dev/null
 cmp /tmp/ci_seq.out /tmp/ci_obs.out
-echo "observed (DL_OBS=text) output byte-identical"
+echo "observed (--profile) output byte-identical"
 
 echo "== reuse-predictor determinism check =="
 ./target/release/repro --jobs 1 extension-reuse > /tmp/ci_reuse_seq.out 2>/dev/null
@@ -256,7 +258,7 @@ echo "== memory-system matrix determinism check =="
 ./target/release/repro --smoke --jobs 1 extension-memmatrix > /tmp/ci_mem_seq.out 2>/dev/null
 ./target/release/repro --smoke --jobs 4 extension-memmatrix > /tmp/ci_mem_par.out 2>/dev/null
 cmp /tmp/ci_mem_seq.out /tmp/ci_mem_par.out
-DL_SIM_ENGINE=step ./target/release/repro --smoke --jobs 4 extension-memmatrix > /tmp/ci_mem_step.out 2>/dev/null
+./target/release/repro --engine step --smoke --jobs 4 extension-memmatrix > /tmp/ci_mem_step.out 2>/dev/null
 cmp /tmp/ci_mem_seq.out /tmp/ci_mem_step.out
 grep -q "plru" /tmp/ci_mem_seq.out
 grep -q "random" /tmp/ci_mem_seq.out
@@ -275,14 +277,20 @@ echo "== engine equivalence check =="
 # The block-cached engine is a pure optimization: the reference step
 # interpreter must render byte-identical paper tables. The parallel
 # block-engine run above doubles as the "block" side for tables 11/12/14.
-DL_SIM_ENGINE=step ./target/release/repro --jobs 4 table11 table12 table14 > /tmp/ci_step_paper.out 2>/dev/null
+./target/release/repro --engine step --jobs 4 table11 table12 table14 > /tmp/ci_step_paper.out 2>/dev/null
 cmp /tmp/ci_paper_seq.out /tmp/ci_step_paper.out
-DL_SIM_ENGINE=step ./target/release/repro --jobs 4 table3 > /tmp/ci_step_t3.out 2>/dev/null
+# The table3 run's manifest proves the oracle really ran under step.
+./target/release/repro --engine step --jobs 4 --manifest /tmp/ci_step_manifest.json table3 > /tmp/ci_step_t3.out 2>/dev/null
 cmp /tmp/ci_seq.out /tmp/ci_step_t3.out
+python3 - <<'EOF'
+import json
+engine = json.load(open("/tmp/ci_step_manifest.json"))["sim"]["engine"]
+assert engine == "step", f"the step oracle ran under {engine}"
+EOF
 # The next-line prefetcher and the reuse measurement's stack run
 # outside the memo; the sequential block-engine run of the
 # reuse-profile check above is their "block" side.
-DL_SIM_ENGINE=step ./target/release/repro --jobs 4 extension-prefetch extension-profile profile-geometries > /tmp/ci_step_prof.out 2>/dev/null
+./target/release/repro --engine step --jobs 4 extension-prefetch extension-profile profile-geometries > /tmp/ci_step_prof.out 2>/dev/null
 cmp /tmp/ci_prof_seq.out /tmp/ci_step_prof.out
 echo "step and block engines byte-identical"
 

@@ -7,21 +7,24 @@
 //! repro list                   # list available targets
 //! ```
 //!
-//! `--jobs N` (or the `DL_JOBS` environment variable) sets the worker
-//! count used to pre-warm the simulation memo table before tables are
-//! assembled; the default is the machine's available parallelism.
-//! Output is byte-identical for every worker count — table assembly
-//! is always sequential over the warmed memo table.
+//! `--jobs N` sets the worker count used to pre-warm the simulation
+//! memo table before tables are assembled; the default is the
+//! machine's available parallelism. Output is byte-identical for every
+//! worker count — table assembly is always sequential over the warmed
+//! memo table.
+//!
+//! `--engine step|block` selects the simulator core for every
+//! simulation, spelled as `dlc --engine`: the block-cached engine (the
+//! default) or the reference per-instruction interpreter. Tables are
+//! byte-identical under either, which is what makes `step` an oracle.
 //!
 //! Observability:
 //!
 //! - `--manifest PATH` writes a machine-readable `RUN_MANIFEST.json`
 //!   (stage wall times, memo hit/miss/wait counters, per-worker
-//!   utilisation, miss-class breakdown).
+//!   utilisation, miss-class breakdown, the engine).
 //! - `--profile` prints the same data as a human report on stderr.
-//! - `DL_OBS=json|text|off` sets the default: `json` writes
-//!   `RUN_MANIFEST.json` in the current directory, `text` behaves like
-//!   `--profile`. Tables on stdout are byte-identical in every mode.
+//!   Tables on stdout are byte-identical with or without either.
 //! - `--smoke` shrinks benchmark inputs so CI can exercise the whole
 //!   pipeline (and validate the manifest) in seconds.
 //! - `--trace-out PATH` writes a Chrome trace-event JSON timeline
@@ -38,34 +41,35 @@ use dl_experiments::pipeline::Pipeline;
 use dl_experiments::schedule::{default_jobs, prewarm_with_stats, union_specs, PrewarmReport};
 use dl_experiments::tables::all_tables;
 use dl_obs::span::Spans;
-use dl_obs::ObsMode;
+use dl_sim::Engine;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--jobs N] [--smoke] [--profile] [--manifest PATH] \
-         [--trace-out PATH] <all | list | table1..table14 | \
-         ablation-classes | ablation-patterns | write-experiments [PATH]>"
+        "usage: repro [--jobs N] [--engine step|block] [--smoke] [--profile] \
+         [--manifest PATH] [--trace-out PATH] \
+         <all | list | write-experiments [PATH] | TABLE...>\n       \
+         (`repro list` prints every TABLE)"
     );
     std::process::exit(2);
 }
 
 /// Parses `--jobs N` out of the argument list (removing it), falling
-/// back to `DL_JOBS`, then to available parallelism.
+/// back to available parallelism. `--jobs 0` runs one worker.
 fn parse_jobs(args: &mut Vec<String>) -> usize {
-    if let Some(i) = args.iter().position(|a| a == "--jobs") {
-        if i + 1 >= args.len() {
-            usage();
-        }
-        let n: usize = args[i + 1].parse().unwrap_or_else(|_| usage());
-        args.drain(i..=i + 1);
-        return n.max(1);
-    }
-    if let Ok(v) = std::env::var("DL_JOBS") {
-        if let Ok(n) = v.parse::<usize>() {
-            return n.max(1);
-        }
-    }
-    default_jobs()
+    parse_value(args, "--jobs").map_or_else(default_jobs, |n| {
+        n.parse::<usize>().unwrap_or_else(|_| usage()).max(1)
+    })
+}
+
+/// Parses `--engine step|block` out of the argument list (removing
+/// it), spelled as `dlc --engine`; the default is [`Engine::Block`].
+fn parse_engine(args: &mut Vec<String>) -> Engine {
+    parse_value(args, "--engine").map_or_else(Engine::default, |name| {
+        name.parse().unwrap_or_else(|e: String| {
+            eprintln!("repro: {e}");
+            usage()
+        })
+    })
 }
 
 /// Removes a boolean flag from the argument list, reporting presence.
@@ -77,18 +81,18 @@ fn parse_flag(args: &mut Vec<String>, flag: &str) -> bool {
     false
 }
 
-/// Removes `--<flag> PATH` from the argument list.
-fn parse_path(args: &mut Vec<String>, flag: &str) -> Option<String> {
+/// Removes `<flag> VALUE` from the argument list.
+fn parse_value(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let i = args.iter().position(|a| a == flag)?;
     if i + 1 >= args.len() {
         usage();
     }
-    let path = args[i + 1].clone();
+    let value = args[i + 1].clone();
     args.drain(i..=i + 1);
-    Some(path)
+    Some(value)
 }
 
-/// How the run is being observed, resolved from flags and `DL_OBS`.
+/// How the run is being observed, resolved from flags.
 struct Obs {
     /// Write the JSON manifest here, if anywhere.
     manifest: Option<String>,
@@ -100,18 +104,10 @@ struct Obs {
 
 impl Obs {
     fn resolve(args: &mut Vec<String>) -> Self {
-        let mut manifest = parse_path(args, "--manifest");
-        let mut profile = parse_flag(args, "--profile");
-        let trace = parse_path(args, "--trace-out");
-        match ObsMode::from_env() {
-            ObsMode::Json => manifest = manifest.or_else(|| Some("RUN_MANIFEST.json".into())),
-            ObsMode::Text => profile = true,
-            ObsMode::Off => {}
-        }
         Self {
-            manifest,
-            profile,
-            trace,
+            manifest: parse_value(args, "--manifest"),
+            profile: parse_flag(args, "--profile"),
+            trace: parse_value(args, "--trace-out"),
         }
     }
 
@@ -151,6 +147,7 @@ impl Obs {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = parse_jobs(&mut args);
+    let engine = parse_engine(&mut args);
     let smoke = parse_flag(&mut args, "--smoke");
     let obs = Obs::resolve(&mut args);
     if args.is_empty() && smoke {
@@ -171,6 +168,7 @@ fn main() {
         return;
     }
     let pipeline = Pipeline::new();
+    pipeline.set_engine(engine);
     pipeline.set_classify_misses(obs.enabled());
     let spans = Arc::new(Spans::default());
     if obs.trace.is_some() {

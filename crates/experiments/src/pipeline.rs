@@ -227,7 +227,7 @@ impl Default for Pipeline {
             counters: Counters::default(),
             timings: Mutex::default(),
             classify: AtomicBool::new(false),
-            engine: Mutex::new(Engine::from_env()),
+            engine: Mutex::default(),
             block_stats: Mutex::default(),
             trace: Mutex::new(None),
             observe: Mutex::new(None),
@@ -255,7 +255,7 @@ impl Pipeline {
     /// Selects the simulator engine for every simulation this pipeline
     /// computes *from now on* (memoized entries keep the engine they
     /// were computed under — both produce identical results, so mixing
-    /// is safe). Defaults to `DL_SIM_ENGINE` / [`Engine::Block`].
+    /// is safe). Defaults to [`Engine::Block`].
     ///
     /// # Panics
     ///

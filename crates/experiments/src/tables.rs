@@ -920,6 +920,7 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
                 },
                 input: base.input().to_vec(),
                 prefetch_sites: Some(sites.clone()),
+                engine: p.engine(),
                 ..RunConfig::default()
             };
             let result = simulate(base.program(), &config).expect("benchmark runs");
@@ -1130,6 +1131,7 @@ pub fn profile_geometries(p: &Pipeline) -> Table {
                 cache: CacheConfig::paper_baseline(),
                 input: run.input().to_vec(),
                 reuse_profile: true,
+                engine: p.engine(),
                 ..RunConfig::default()
             };
             let out = simulate_full(run.program(), &config).expect("benchmark runs");

@@ -1,10 +1,10 @@
 //! Observability must never perturb results: the experiment tables a
-//! pipeline renders with miss classification (the `DL_OBS`/`--profile`
-//! collection path), span tracing (`--trace-out`), or the per-site
-//! miss observatory (`dlc top`) enabled are byte-identical to an
-//! unobserved run. Instrumentation only *labels or times* work the
-//! simulator already does — it must not change what hits or misses,
-//! and none of its output flows into the tables.
+//! pipeline renders with miss classification (the `--profile` /
+//! `--manifest` collection path), span tracing (`--trace-out`), or
+//! the per-site miss observatory (`dlc top`) enabled are
+//! byte-identical to an unobserved run. Instrumentation only *labels
+//! or times* work the simulator already does — it must not change
+//! what hits or misses, and none of its output flows into the tables.
 
 use std::sync::Arc;
 

@@ -43,63 +43,3 @@ pub use manifest::Manifest;
 pub use metrics::Histogram;
 pub use span::{current_tid, SpanGuard, SpanRecord, Spans};
 pub use trace::chrome_trace;
-
-/// Output mode selected by the `DL_OBS` environment variable.
-///
-/// * `off` (or unset / unrecognized) — no observability output.
-/// * `text` — a human-readable profile report on stderr.
-/// * `json` — a `RUN_MANIFEST.json` written next to the other outputs.
-///
-/// Explicit CLI flags (`--profile`, `--manifest`) override the
-/// environment in the binaries that support them.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ObsMode {
-    /// No observability output (the default).
-    #[default]
-    Off,
-    /// Human-readable text report on stderr.
-    Text,
-    /// Machine-readable JSON manifest.
-    Json,
-}
-
-impl ObsMode {
-    /// Parses a `DL_OBS` value. Unrecognized values fall back to `Off`.
-    #[must_use]
-    pub fn parse(value: &str) -> Self {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "text" | "1" | "on" => ObsMode::Text,
-            "json" => ObsMode::Json,
-            _ => ObsMode::Off,
-        }
-    }
-
-    /// Reads the mode from the `DL_OBS` environment variable.
-    #[must_use]
-    pub fn from_env() -> Self {
-        std::env::var("DL_OBS").map_or(ObsMode::Off, |v| ObsMode::parse(&v))
-    }
-
-    /// Whether any observability output is enabled.
-    #[must_use]
-    pub fn enabled(self) -> bool {
-        self != ObsMode::Off
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mode_parsing() {
-        assert_eq!(ObsMode::parse("off"), ObsMode::Off);
-        assert_eq!(ObsMode::parse(""), ObsMode::Off);
-        assert_eq!(ObsMode::parse("bogus"), ObsMode::Off);
-        assert_eq!(ObsMode::parse("text"), ObsMode::Text);
-        assert_eq!(ObsMode::parse("TEXT"), ObsMode::Text);
-        assert_eq!(ObsMode::parse("json"), ObsMode::Json);
-        assert!(ObsMode::Json.enabled());
-        assert!(!ObsMode::Off.enabled());
-    }
-}

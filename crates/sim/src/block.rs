@@ -6,7 +6,7 @@
 //! termination check) on every instruction. This module replaces that
 //! inner loop with an r2vm-style block cache: straight-line runs of
 //! instructions are decoded once into a compact pre-resolved form
-//! ([`Op`]), their terminator classified ([`Term`]), and the dispatch
+//! (`Op`), their terminator classified (`Term`), and the dispatch
 //! loop then executes whole basic blocks, batching `instructions`,
 //! `exec_counts` and load/store totals per block retirement instead of
 //! per instruction.
@@ -57,19 +57,8 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Resolves the engine from the `DL_SIM_ENGINE` environment
-    /// variable (`step` or `block`, case-insensitive). Unset or
-    /// unrecognized values select the default [`Engine::Block`].
-    #[must_use]
-    pub fn from_env() -> Engine {
-        match std::env::var("DL_SIM_ENGINE") {
-            Ok(v) => v.parse().unwrap_or_default(),
-            Err(_) => Engine::default(),
-        }
-    }
-
     /// Stable lower-case name (`"step"` / `"block"`), matching the
-    /// `DL_SIM_ENGINE` / `--engine` spelling.
+    /// `--engine` spelling.
     #[must_use]
     pub fn name(self) -> &'static str {
         match self {

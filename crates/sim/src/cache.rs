@@ -4,13 +4,13 @@
 //! 4-way, 256-set, 32-byte-block data cache (32 KiB); the evaluation
 //! sweeps associativity (2/4/8) and capacity (8–64 KiB). Replacement
 //! defaults to true LRU; [`Cache::with_policy`] selects tree-PLRU or
-//! random instead (see [`crate::memory`]), and the block-level
-//! operations ([`Cache::invalidate_block`] and friends) exist for the
-//! two-level hierarchy's inclusion maintenance.
+//! random instead (see [`crate::memory`]), and the crate-private
+//! block-level operations (`Cache::invalidate_block` and friends)
+//! exist for the two-level hierarchy's inclusion maintenance.
 
 use std::fmt;
 
-use crate::memory::{Policy, RandomEvict, ReplacementPolicy, TreePlru};
+use crate::memory::{Policy, RandomEvict, TreePlru};
 use crate::reuse::StackDistance;
 
 /// Geometry of a cache: total capacity, associativity, and block size.
@@ -48,7 +48,7 @@ impl CacheConfig {
     /// # Errors
     ///
     /// Returns an error unless `size`, `assoc`, and `block` are powers
-    /// of two with `size >= assoc * block`.
+    /// of two with `assoc <= 64` and `size >= assoc * block`.
     pub fn new(size: u32, assoc: u32, block: u32) -> Result<Self, CacheConfigError> {
         for (name, v) in [("size", size), ("assoc", assoc), ("block", block)] {
             if v == 0 || !v.is_power_of_two() {
@@ -57,7 +57,13 @@ impl CacheConfig {
                 )));
             }
         }
-        if size < assoc * block {
+        // Tree-PLRU packs a set's recency bits into a u64.
+        if assoc > 64 {
+            return Err(CacheConfigError(format!(
+                "assoc = {assoc} exceeds the 64-way limit"
+            )));
+        }
+        if assoc.checked_mul(block).is_none_or(|set| size < set) {
             return Err(CacheConfigError(format!(
                 "size {size} smaller than one set (assoc {assoc} x block {block})"
             )));
@@ -237,8 +243,8 @@ impl ProfileState {
 /// Replacement machinery: the default LRU keeps its fused
 /// search/recency representation (the `order` permutation inside
 /// [`Cache`], searched MRU-first and rotated in place); the
-/// alternative policies carry their own per-set state behind
-/// [`ReplacementPolicy`] and are dispatched statically per access.
+/// alternative policies carry their own per-set state and are
+/// dispatched statically per access.
 #[derive(Debug, Clone)]
 enum Repl {
     /// True LRU via the `order` permutation (not this enum's state).
@@ -255,7 +261,8 @@ impl Repl {
             // The LRU arm fuses its touch into the set walk.
             Repl::Lru => unreachable!("LRU recency lives in Cache::order"),
             Repl::Plru(p) => p.touch(set, assoc, way),
-            Repl::Random(r) => r.touch(set, assoc, way),
+            // Random replacement keeps no recency.
+            Repl::Random(_) => {}
         }
     }
 
@@ -263,7 +270,7 @@ impl Repl {
         match self {
             Repl::Lru => unreachable!("LRU victims live in Cache::order"),
             Repl::Plru(p) => p.victim(set, assoc),
-            Repl::Random(r) => r.victim(set, assoc),
+            Repl::Random(r) => r.victim(assoc),
         }
     }
 
@@ -678,6 +685,14 @@ mod tests {
         assert!(CacheConfig::new(8192, 3, 32).is_err());
         assert!(CacheConfig::new(8192, 4, 48).is_err());
         assert!(CacheConfig::new(64, 4, 32).is_err()); // smaller than one set
+
+        // More ways than tree-PLRU's u64 holds, even when the set's
+        // byte count (2^27 x 32) would wrap a u32 to zero.
+        assert!(CacheConfig::new(64 * 1024, 128, 32).is_err());
+        assert!(CacheConfig::new(64 * 1024, 1 << 27, 32).is_err());
+        assert!(CacheConfig::new(1 << 20, 64, 32).is_ok());
+        // One set of 64 ways x 2^27-byte blocks overflows a u32.
+        assert!(CacheConfig::new(1 << 31, 64, 1 << 27).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The functional CPU interpreter.
 //!
 //! Executes a [`Program`] instruction-by-instruction, feeding every
-//! data access through the [`Cache`] model and recording per-PC
+//! data access through the [`crate::Cache`] model and recording per-PC
 //! statistics into a [`RunResult`].
 
 use std::collections::VecDeque;
@@ -124,7 +124,7 @@ pub struct RunConfig {
     /// block engine through its instrumented path; off by default.
     pub reuse_profile: bool,
     /// Which interpreter core executes the run. Both produce identical
-    /// results; see [`Engine`]. The default honours `DL_SIM_ENGINE`.
+    /// results; see [`Engine`]. Defaults to [`Engine::Block`].
     pub engine: Engine,
 }
 
@@ -140,7 +140,7 @@ impl Default for RunConfig {
             classify_misses: false,
             observe: None,
             reuse_profile: false,
-            engine: Engine::from_env(),
+            engine: Engine::default(),
         }
     }
 }

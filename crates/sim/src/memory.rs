@@ -167,8 +167,8 @@ impl fmt::Display for L2Config {
 impl FromStr for L2Config {
     type Err = String;
 
-    /// Parses the `--l2` / `DL_L2` spelling: `KB[,ASSOC][,incl|excl]`
-    /// (e.g. `64`, `64,8`, `64,8,excl`). Defaults: 8-way, inclusive.
+    /// Parses the `--l2` spelling: `KB[,ASSOC][,incl|excl]` (e.g.
+    /// `64`, `64,8`, `64,8,excl`). Defaults: 8-way, inclusive.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let mut parts = s.split(',');
         let kb = parts
@@ -189,8 +189,11 @@ impl FromStr for L2Config {
                 inclusion = part.parse()?;
             }
         }
+        let bytes = kb
+            .checked_mul(1024)
+            .ok_or_else(|| format!("L2 size {kb}KB does not fit in 32 bits"))?;
         let cache =
-            CacheConfig::new(kb * 1024, assoc, 32).map_err(|e| format!("bad L2 geometry: {e}"))?;
+            CacheConfig::new(bytes, assoc, 32).map_err(|e| format!("bad L2 geometry: {e}"))?;
         Ok(L2Config { cache, inclusion })
     }
 }
@@ -247,51 +250,31 @@ impl fmt::Display for MemoryConfig {
     }
 }
 
-/// Per-set replacement state: records recency on `touch`, chooses an
-/// eviction victim when every way is valid.
-///
-/// The cache consults implementations only off the MRU fast path: an
-/// access that hits its set's MRU way is answered before any policy
-/// code runs, which is sound because `touch` of the most recently
-/// touched way is a no-op for every implementation here (LRU keeps a
-/// fused search/recency representation — a per-set MRU-first way
-/// permutation inside [`Cache`] — rather than this trait, for speed;
-/// its front way is by definition already at the front).
-pub trait ReplacementPolicy {
-    /// Records an access (hit or fill) to `way` of `set`.
-    fn touch(&mut self, set: usize, assoc: usize, way: usize);
-
-    /// Chooses the way to evict from `set`. Called only when every
-    /// way holds a valid line — invalid ways are always filled first.
-    fn victim(&mut self, set: usize, assoc: usize) -> usize;
-}
-
 /// Tree-based pseudo-LRU: `assoc - 1` recency bits per set arranged
 /// as a binary heap (node `i`'s children are `2i` and `2i+1`; bit 0
 /// steers left, bit 1 right). A touch points every bit on the way's
 /// root path away from it; the victim walk follows the bits down.
+///
+/// The cache consults it only off the MRU fast path, which is sound
+/// because re-touching the most recently touched way changes no bit.
 #[derive(Debug, Clone)]
-pub struct TreePlru {
+pub(crate) struct TreePlru {
     bits: Vec<u64>,
 }
 
 impl TreePlru {
-    /// Zeroed recency bits for `sets` sets of `assoc` ways.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc > 64` (the per-set bits are packed in a u64).
-    #[must_use]
-    pub fn new(sets: usize, assoc: u32) -> Self {
+    /// Zeroed recency bits for `sets` sets of `assoc` ways. The bits
+    /// of a set pack into a u64, which [`CacheConfig::new`]'s limit of
+    /// 64 ways guarantees.
+    pub(crate) fn new(sets: usize, assoc: u32) -> Self {
         assert!(assoc <= 64, "tree-PLRU supports at most 64 ways");
         TreePlru {
             bits: vec![0; sets],
         }
     }
-}
 
-impl ReplacementPolicy for TreePlru {
-    fn touch(&mut self, set: usize, assoc: usize, way: usize) {
+    /// Records an access (hit or fill) to `way` of `set`.
+    pub(crate) fn touch(&mut self, set: usize, assoc: usize, way: usize) {
         let bits = &mut self.bits[set];
         let mut node = way + assoc;
         while node > 1 {
@@ -306,7 +289,9 @@ impl ReplacementPolicy for TreePlru {
         }
     }
 
-    fn victim(&mut self, set: usize, assoc: usize) -> usize {
+    /// Chooses the way to evict from `set`. Called only when every
+    /// way holds a valid line: invalid ways are always filled first.
+    pub(crate) fn victim(&self, set: usize, assoc: usize) -> usize {
         let bits = self.bits[set];
         let mut node = 1;
         while node < assoc {
@@ -321,15 +306,14 @@ impl ReplacementPolicy for TreePlru {
 /// both engines consume the stream in the same order and runs are
 /// deterministic for a fixed seed.
 #[derive(Debug, Clone)]
-pub struct RandomEvict {
+pub(crate) struct RandomEvict {
     rng: Rng,
     seed: u64,
 }
 
 impl RandomEvict {
     /// A policy drawing victims from `seed`'s xorshift64* stream.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         RandomEvict {
             rng: Rng::new(seed),
             seed,
@@ -337,15 +321,12 @@ impl RandomEvict {
     }
 
     /// Rewinds the PRNG to its initial seed (cache reset).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.rng = Rng::new(self.seed);
     }
-}
 
-impl ReplacementPolicy for RandomEvict {
-    fn touch(&mut self, _set: usize, _assoc: usize, _way: usize) {}
-
-    fn victim(&mut self, _set: usize, assoc: usize) -> usize {
+    /// Draws the way to evict from a set of `assoc` ways.
+    pub(crate) fn victim(&mut self, assoc: usize) -> usize {
         self.rng.below(assoc as u64) as usize
     }
 }
@@ -731,6 +712,12 @@ mod tests {
         assert_eq!(l2.cache.assoc(), 16);
         assert!("".parse::<L2Config>().is_err());
         assert!("7".parse::<L2Config>().is_err()); // not a power of two
+
+        // Out-of-range inputs are errors, never panics or wrapped sizes.
+        let err = "4194304".parse::<L2Config>().unwrap_err();
+        assert!(err.contains("32 bits"), "unexpected error: {err}");
+        assert!("64,128".parse::<L2Config>().is_err());
+        assert!("64,134217728".parse::<L2Config>().is_err());
     }
 
     #[test]
@@ -785,12 +772,12 @@ mod tests {
     fn random_policy_is_deterministic_per_seed() {
         let mut a = RandomEvict::new(42);
         let mut b = RandomEvict::new(42);
-        let sa: Vec<usize> = (0..32).map(|_| a.victim(0, 4)).collect();
-        let sb: Vec<usize> = (0..32).map(|_| b.victim(0, 4)).collect();
+        let sa: Vec<usize> = (0..32).map(|_| a.victim(4)).collect();
+        let sb: Vec<usize> = (0..32).map(|_| b.victim(4)).collect();
         assert_eq!(sa, sb);
         assert!(sa.iter().all(|&w| w < 4));
         a.reset();
-        let again: Vec<usize> = (0..32).map(|_| a.victim(0, 4)).collect();
+        let again: Vec<usize> = (0..32).map(|_| a.victim(4)).collect();
         assert_eq!(again, sa);
     }
 

@@ -67,12 +67,6 @@ impl RunResult {
         }
     }
 
-    /// The miss count of static load `index` (`M(i, C)`).
-    #[must_use]
-    pub fn misses_of(&self, index: usize) -> u64 {
-        self.load_misses[index]
-    }
-
     /// Sum of `M(i, C)` over a set of static instruction indices.
     #[must_use]
     pub fn misses_of_set(&self, set: &[usize]) -> u64 {

@@ -15,17 +15,13 @@
 //! `--engine step|block` (on `run` and `analyze`) selects the
 //! simulator core: the reference per-instruction interpreter or the
 //! block-cached engine (the default). The two are observationally
-//! identical; `step` exists for differential debugging. The
-//! `DL_SIM_ENGINE` environment variable sets the default when the
-//! flag is absent.
+//! identical; `step` exists for differential debugging.
 //!
 //! `--policy lru|plru|random`, `--l2 KB[,ASSOC][,incl|excl]` (or
 //! `none`), and `--prefetch DEGREE` (on `run`, `analyze`, and `top`)
 //! select the memory system: L1 replacement policy, an optional
 //! second cache level, and a PC-indexed stride prefetcher (degree 0
-//! disables it). The `DL_POLICY` / `DL_L2` / `DL_PREFETCH`
-//! environment variables set the defaults when the flags are absent.
-//! All default to the paper's single LRU L1.
+//! disables it). All default to the paper's single LRU L1.
 //!
 //! `--profile` (on `run` and `analyze`) turns on the simulator's
 //! opt-in cache profiling: the miss-class breakdown (compulsory /
@@ -95,30 +91,11 @@ struct Options {
     delta: f64,
     profile: bool,
     reuse: bool,
-    engine: Option<Engine>,
+    engine: Engine,
     memory: MemoryConfig,
     trace_out: Option<String>,
     epoch: u64,
     limit: usize,
-}
-
-/// The memory-system defaults from `DL_POLICY` / `DL_L2` /
-/// `DL_PREFETCH`; the corresponding flags override them.
-fn memory_from_env() -> Result<MemoryConfig, String> {
-    let mut memory = MemoryConfig::default();
-    if let Ok(v) = std::env::var("DL_POLICY") {
-        memory.policy = v.parse().map_err(|e| format!("DL_POLICY: {e}"))?;
-    }
-    if let Ok(v) = std::env::var("DL_L2") {
-        if !v.is_empty() && v != "none" {
-            memory.l2 = Some(v.parse::<L2Config>().map_err(|e| format!("DL_L2: {e}"))?);
-        }
-    }
-    if let Ok(v) = std::env::var("DL_PREFETCH") {
-        let degree: u32 = v.parse().map_err(|e| format!("DL_PREFETCH: {e}"))?;
-        memory.prefetch = (degree > 0).then_some(Prefetch::Stride(degree));
-    }
-    Ok(memory)
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -130,8 +107,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         delta: 0.10,
         profile: false,
         reuse: false,
-        engine: None,
-        memory: memory_from_env()?,
+        engine: Engine::default(),
+        memory: MemoryConfig::default(),
         trace_out: None,
         epoch: dl_sim::ObserveConfig::default().epoch_len,
         limit: 10,
@@ -162,11 +139,10 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--profile" => options.profile = true,
             "--reuse" => options.reuse = true,
             "--engine" => {
-                options.engine = Some(
-                    it.next()
-                        .ok_or("--engine requires step|block")?
-                        .parse::<Engine>()?,
-                );
+                options.engine = it
+                    .next()
+                    .ok_or("--engine requires step|block")?
+                    .parse::<Engine>()?;
             }
             "--policy" => {
                 options.memory.policy = it
@@ -281,8 +257,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let config = RunConfig {
                 input: options.input.clone(),
                 classify_misses: options.profile,
-                // Precedence: --engine beats DL_SIM_ENGINE beats the default.
-                engine: options.engine.unwrap_or_else(Engine::from_env),
+                engine: options.engine,
                 memory: options.memory,
                 ..RunConfig::default()
             };
@@ -314,7 +289,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let config = RunConfig {
                 input: options.input.clone(),
                 classify_misses: options.profile,
-                engine: options.engine.unwrap_or_else(Engine::from_env),
+                engine: options.engine,
                 memory: options.memory,
                 ..RunConfig::default()
             };
@@ -402,7 +377,7 @@ fn top(options: &Options) -> Result<(), String> {
     })?;
     let config = RunConfig {
         input: options.input.clone(),
-        engine: options.engine.unwrap_or_else(Engine::from_env),
+        engine: options.engine,
         memory: options.memory,
         observe: Some(ObserveConfig {
             epoch_len: options.epoch,
@@ -929,7 +904,7 @@ mod tests {
         assert!((o.delta - 0.10).abs() < 1e-12);
         assert!(!o.profile);
         assert!(!o.reuse);
-        assert_eq!(o.engine, None);
+        assert_eq!(o.engine, Engine::Block);
     }
 
     #[test]
@@ -955,7 +930,7 @@ mod tests {
         assert!((o.delta - 0.25).abs() < 1e-12);
         assert!(o.profile);
         assert!(o.reuse);
-        assert_eq!(o.engine, Some(Engine::Step));
+        assert_eq!(o.engine, Engine::Step);
     }
 
     #[test]
@@ -996,6 +971,12 @@ mod tests {
         assert!(off.memory.l2.is_none());
         assert!(opts(&["prog.mc", "--policy", "fifo"]).is_err());
         assert!(opts(&["prog.mc", "--l2", "potato"]).is_err());
+        // Out-of-range L2 specs are errors: 2^27 ways (a set's bytes
+        // wrap a u32 to zero), more ways than tree-PLRU packs, and a
+        // size whose byte count wraps.
+        assert!(opts(&["prog.mc", "--l2", "64,134217728"]).is_err());
+        assert!(opts(&["prog.mc", "--policy", "plru", "--l2", "64,128"]).is_err());
+        assert!(opts(&["prog.mc", "--l2", "4194304"]).is_err());
         assert!(opts(&["prog.mc", "--prefetch", "-1"]).is_err());
     }
 
