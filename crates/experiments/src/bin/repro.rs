@@ -32,6 +32,8 @@
 //!   compilation, per computed analysis pass, and per simulated
 //!   configuration, plus the top-level run stages.
 
+use std::fmt::Display;
+use std::io::{self, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -51,6 +53,19 @@ fn usage() -> ! {
          (`repro list` prints every TABLE)"
     );
     std::process::exit(2);
+}
+
+/// Writes one line to stdout. A reader that closed the pipe (`repro
+/// list | head -1`) wants no more output, so the run ends quietly
+/// with exit 0; any other write failure ends it with exit 1.
+fn emit(out: &mut impl Write, line: impl Display) {
+    if let Err(e) = writeln!(out, "{line}") {
+        if e.kind() == io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("repro: writing stdout: {e}");
+        std::process::exit(1);
+    }
 }
 
 /// Parses `--jobs N` out of the argument list (removing it), falling
@@ -161,9 +176,10 @@ fn main() {
         usage();
     }
     let tables = all_tables();
+    let mut out = io::stdout().lock();
     if args[0] == "list" {
         for (name, _) in &tables {
-            println!("{name}");
+            emit(&mut out, name);
         }
         return;
     }
@@ -214,7 +230,7 @@ fn main() {
             .expect("validated above");
         let start = Instant::now();
         let table = spans.time(&format!("tables/{name}"), || f(&pipeline));
-        println!("{table}");
+        emit(&mut out, table);
         eprintln!("[{name} in {:.1}s]", start.elapsed().as_secs_f64());
     }
     eprintln!(

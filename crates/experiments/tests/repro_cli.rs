@@ -1,9 +1,10 @@
 //! `repro`'s flags are its only knobs: `--engine` selects the
 //! simulator core, a bad value is a usage error, and no environment
-//! variable reaches the engine the pipeline runs.
+//! variable reaches the engine the pipeline runs. Its output may go
+//! to a reader that stops early.
 
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 use dl_obs::Json;
 
@@ -57,4 +58,22 @@ fn unknown_engine_is_a_usage_error() {
     assert!(stderr.contains("unknown engine 'jit'"), "{stderr}");
     assert!(stderr.contains("usage: repro"), "{stderr}");
     assert!(out.stdout.is_empty());
+}
+
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    // The read end is gone before `repro` starts, as in
+    // `repro list | true`: its first write meets a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("list")
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("repro starts");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

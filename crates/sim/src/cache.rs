@@ -211,15 +211,20 @@ pub struct CacheProfile {
     pub set_misses: Vec<u64>,
 }
 
-/// Shadow state backing miss classification: an LRU stack over every
-/// block this cache has seen. A missing block never seen before is
-/// compulsory; one whose stack distance is below the capacity in
+/// Shadow state backing miss classification: the marker-based LRU
+/// stack of [`crate::reuse`] over every block this cache has seen,
+/// prefetch-fill probes included. A missing block never seen before
+/// is compulsory; one whose stack distance is below the capacity in
 /// blocks would have hit a fully-associative LRU cache of the same
-/// size, so it is a conflict miss; anything else is capacity.
+/// size, so it is a conflict miss; anything else is capacity. The
+/// stack reports only the distance's log₂ bucket, and that is exact
+/// here: `CacheConfig::new` makes the capacity a power of two `2^k`,
+/// and a distance is below `2^k` iff its bucket is at most `k`.
 #[derive(Debug, Clone)]
 struct ProfileState {
     stack: StackDistance,
-    cap_blocks: u64,
+    /// log₂ of the capacity in blocks.
+    cap_log2: usize,
     profile: CacheProfile,
     last_class: MissClass,
 }
@@ -229,7 +234,7 @@ impl ProfileState {
         let sets = cfg.sets() as usize;
         ProfileState {
             stack: StackDistance::new(),
-            cap_blocks: u64::from(cfg.size_bytes() / cfg.block_bytes()),
+            cap_log2: (cfg.size_bytes() / cfg.block_bytes()).trailing_zeros() as usize,
             profile: CacheProfile {
                 classes: MissClasses::default(),
                 set_accesses: vec![0; sets],
@@ -379,9 +384,11 @@ impl Cache {
     }
 
     /// Enables miss classification and per-set histograms. Profiling
-    /// tracks a shadow LRU stack, so enable it only when the breakdown
-    /// is wanted — never on the memoized table-generation hot path's
-    /// default configuration.
+    /// moves every access's block to the top of a shadow LRU stack (a
+    /// few linked-list steps through a paged block index, and one
+    /// node per block ever seen), so enable it only when the
+    /// breakdown is wanted — never on the memoized table-generation
+    /// hot path's default configuration.
     pub fn enable_profiling(&mut self) {
         self.profile = Some(Box::new(ProfileState::new(self.cfg)));
         self.profiling = true;
@@ -485,12 +492,12 @@ impl Cache {
         let p = self.profile.as_mut().expect("profiling flag implies state");
         p.profile.set_accesses[set as usize] += 1;
         // Blocks come from 32-bit addresses, so they fit in u32.
-        let distance = p.stack.touch(block as u32);
+        let bucket = p.stack.touch(block as u32);
         if !hit {
             p.profile.set_misses[set as usize] += 1;
-            let class = match distance {
+            let class = match bucket {
                 None => MissClass::Compulsory,
-                Some(d) if d < p.cap_blocks => MissClass::Conflict,
+                Some(b) if b <= p.cap_log2 => MissClass::Conflict,
                 Some(_) => MissClass::Capacity,
             };
             p.profile.classes.add(class);

@@ -112,7 +112,9 @@ pub struct RunConfig {
     /// Classify misses (compulsory/capacity/conflict) and collect
     /// per-set histograms into [`RunResult::cache_profile`] and
     /// per-site attribution into [`RunResult::load_miss_classes`].
-    /// Costs a shadow LRU stack update per access; off by default.
+    /// Costs a shadow LRU stack update per access (a paged index
+    /// lookup and a few linked-list steps, see [`crate::reuse`]); off
+    /// by default.
     pub classify_misses: bool,
     /// Collect epoch-windowed per-load-site miss counts into
     /// [`SimOutput::observatory`] (see [`crate::observe`]). Routes the
@@ -120,8 +122,10 @@ pub struct RunConfig {
     pub observe: Option<ObserveConfig>,
     /// Measure per-load-site reuse-distance histograms over a shadow
     /// LRU stack into [`SimOutput::reuse`] (see [`crate::reuse`]) —
-    /// the ground truth for the static reuse profiles. Routes the
-    /// block engine through its instrumented path; off by default.
+    /// the ground truth for the static reuse profiles. The stack is a
+    /// second instance of the classifier's, fed demand accesses only.
+    /// Routes the block engine through its instrumented path; off by
+    /// default.
     pub reuse_profile: bool,
     /// Which interpreter core executes the run. Both produce identical
     /// results; see [`Engine`]. Defaults to [`Engine::Block`].

@@ -3,12 +3,15 @@
 //!
 //! An unbounded shadow LRU stack over cache *blocks* tracks, for
 //! every load, its **stack distance** — the number of distinct blocks
-//! referenced since the previous reference to the same block (Olken's
-//! algorithm: a Fenwick tree over recency stamps gives each distance
-//! in `O(log n)`). The three-Cs miss classifier in [`crate::cache`]
-//! runs its own copy of the same stack. Distances land in the same 65
-//! log₂ buckets the static pass emits, so the two histograms compare
-//! bucket for bucket, and the classic inclusion property prices every
+//! referenced since the previous reference to the same block — in the
+//! same 65 log₂ buckets the static pass emits, so the two histograms
+//! compare bucket for bucket. The bucket is all either consumer reads,
+//! so the stack keeps only that: a marker at each power-of-two stack
+//! position (Kim, Hill & Wood's marker-based LRU simulation) gives
+//! every touch its bucket in a few linked-list steps, with blocks
+//! found through a paged direct index rather than a hash. The
+//! three-Cs miss classifier in [`crate::cache`] runs its own copy of
+//! the same stack. The classic inclusion property prices every
 //! geometry from one run: a fully-associative LRU cache of `C` blocks
 //! hits an access iff its distance is below `C`, and for the
 //! power-of-two capacities this repository sweeps the bucket boundary
@@ -17,8 +20,6 @@
 //! Stores update recency (a loaded block a store just touched is
 //! near, not far) but only loads contribute histogram entries —
 //! mirroring the static side, which profiles load sites.
-
-use std::collections::HashMap;
 
 /// Number of log₂ distance buckets (bucket 0 + one per bit of `u64`).
 pub const BUCKETS: usize = 65;
@@ -107,108 +108,122 @@ fn bucket_miss_fraction(b: usize, cap: u64) -> f64 {
     }
 }
 
-/// The stamp space a fresh stack starts with.
-const INITIAL_STAMPS: usize = 1 << 10;
+/// Entries per page of [`StackDistance`]'s block index.
+const PAGE: usize = 1 << 12;
 
-const DEAD: u32 = u32::MAX;
+/// One block's place in the recency list.
+#[derive(Debug, Clone, Copy, Default)]
+struct Node {
+    /// The next more recent block (the sentinel for the most recent).
+    prev: u32,
+    /// The next less recent block (the sentinel for the least recent).
+    next: u32,
+    /// The log₂ bucket of the block's current stack distance.
+    bucket: u8,
+}
 
-/// Olken's shadow LRU stack over block numbers: a Fenwick tree over
-/// recency stamps prices each touch's stack distance in `O(log n)`.
-/// Stamps are compacted when the clock reaches the end of the stamp
-/// space, which doubles whenever more than half of it is live — so it
-/// stays proportional to the blocks actually touched.
+/// A marker-based shadow LRU stack over block numbers (Kim, Hill &
+/// Wood, SIGMETRICS 1991): a doubly-linked recency list with one node
+/// per block ever touched, each node carrying the log₂ bucket of its
+/// stack position, and one marker at each bucket boundary (positions
+/// 1, 2, 4, 8, …). A touch reads its bucket off the node and moves the
+/// node to the top; only the nodes just above the boundaries it passes
+/// cross into the next bucket, so a reuse in bucket `b` shifts `b`
+/// markers by one node and a first touch shifts one marker per
+/// existing bucket: no touch takes more than one step per boundary.
+///
+/// Blocks find their node through a paged direct index: `PAGE`-entry
+/// pages of node numbers, each allocated on the first touch of a
+/// block in its range, so any `u32` block number — a prefetch probe
+/// at the top of the address space included — is one lookup away.
 #[derive(Debug, Clone)]
 pub(crate) struct StackDistance {
-    /// block → its current recency stamp (1-indexed).
-    stamp_of: HashMap<u32, usize>,
-    /// stamp → block (`DEAD` marks a superseded stamp).
-    block_of: Vec<u32>,
-    /// Fenwick tree over stamps: one set bit per live block.
-    bit: Vec<u32>,
-    /// Live blocks (= distinct blocks ever touched, post-compaction).
-    live: usize,
-    clock: usize,
+    /// The recency list. Node 0 is its sentinel: `next` of the
+    /// sentinel is the most recent block, `prev` the least recent.
+    nodes: Vec<Node>,
+    /// `markers[k]` is the node at stack position `2^k`, the first of
+    /// bucket `k + 1`; one per boundary the stack has reached.
+    markers: Vec<u32>,
+    /// Block number → node, by page (`block / PAGE`); 0 marks a block
+    /// never touched.
+    index: Vec<Option<Box<[u32; PAGE]>>>,
 }
 
 impl StackDistance {
     /// An empty stack.
     pub(crate) fn new() -> Self {
         StackDistance {
-            stamp_of: HashMap::new(),
-            block_of: vec![DEAD; INITIAL_STAMPS + 1],
-            bit: vec![0; INITIAL_STAMPS + 1],
-            live: 0,
-            clock: 0,
+            nodes: vec![Node::default()],
+            markers: Vec::new(),
+            index: Vec::new(),
         }
     }
 
-    fn bit_add(&mut self, mut i: usize, delta: i32) {
-        while i < self.bit.len() {
-            self.bit[i] = self.bit[i].wrapping_add_signed(delta);
-            i += i & i.wrapping_neg();
+    /// Touches `block`, returning the log₂ bucket ([`distance_bucket`])
+    /// of its stack distance — the number of distinct blocks touched
+    /// since its previous touch — or `None` on its first touch.
+    pub(crate) fn touch(&mut self, block: u32) -> Option<usize> {
+        let (page, entry) = (block as usize / PAGE, block as usize % PAGE);
+        if page >= self.index.len() {
+            self.index.resize_with(page + 1, || None);
+        }
+        let slot = &mut self.index[page].get_or_insert_with(|| Box::new([0; PAGE]))[entry];
+        let node = *slot;
+        if node == 0 {
+            let node = u32::try_from(self.nodes.len()).expect("fewer than 2^32 blocks");
+            *slot = node;
+            self.push_first_touch(node);
+            return None;
+        }
+        let bucket = usize::from(self.nodes[node as usize].bucket);
+        if bucket > 0 {
+            // Moving the block to the top pushes every node above it
+            // down one position: of the `bucket` boundaries at or above
+            // the block, each takes in the node just above it.
+            self.shift_markers(bucket);
+            let Node { prev, next, .. } = self.nodes[node as usize];
+            self.nodes[prev as usize].next = next;
+            self.nodes[next as usize].prev = prev;
+            self.push_front(node);
+        }
+        Some(bucket)
+    }
+
+    /// Moves the first `count` markers up one node each, into the
+    /// bucket they now start.
+    fn shift_markers(&mut self, count: usize) {
+        for (k, marker) in self.markers[..count].iter_mut().enumerate() {
+            let up = self.nodes[*marker as usize].prev;
+            self.nodes[up as usize].bucket = k as u8 + 1;
+            *marker = up;
         }
     }
 
-    fn bit_prefix(&self, mut i: usize) -> u32 {
-        let mut sum = 0;
-        while i > 0 {
-            sum += self.bit[i];
-            i -= i & i.wrapping_neg();
+    /// Pushes a never-touched block's node: every block already on the
+    /// stack moves down one position, and when their count is a power
+    /// of two the least recent one opens a new bucket.
+    fn push_first_touch(&mut self, node: u32) {
+        let depth = self.nodes.len() - 1;
+        self.shift_markers(self.markers.len());
+        if depth.is_power_of_two() {
+            let tail = self.nodes[0].prev;
+            self.markers.push(tail);
+            self.nodes[tail as usize].bucket = self.markers.len() as u8;
         }
-        sum
+        self.nodes.push(Node::default());
+        self.push_front(node);
     }
 
-    /// Touches `block`, returning its stack distance — the number of
-    /// distinct blocks touched since its previous touch — or `None`
-    /// on its first touch.
-    pub(crate) fn touch(&mut self, block: u32) -> Option<u64> {
-        let distance = self.stamp_of.get(&block).copied().map(|old| {
-            // Live blocks with a stamp newer than `old` are exactly
-            // the distinct blocks touched since.
-            let d = self.live as u64 - u64::from(self.bit_prefix(old));
-            self.bit_add(old, -1);
-            self.block_of[old] = DEAD;
-            self.live -= 1;
-            d
-        });
-        if self.clock == self.bit.len() - 1 {
-            self.compact();
-        }
-        self.clock += 1;
-        self.block_of[self.clock] = block;
-        self.stamp_of.insert(block, self.clock);
-        self.bit_add(self.clock, 1);
-        self.live += 1;
-        distance
-    }
-
-    /// Renumbers live stamps to `1..=live`, preserving recency order,
-    /// doubles the stamp space if more than half of it is live, and
-    /// rebuilds the Fenwick tree.
-    fn compact(&mut self) {
-        let mut next = 0;
-        for s in 1..=self.clock {
-            let block = self.block_of[s];
-            if block == DEAD {
-                continue;
-            }
-            next += 1;
-            self.block_of[next] = block;
-            self.stamp_of.insert(block, next);
-        }
-        debug_assert_eq!(next, self.live);
-        let mut stamps = self.bit.len() - 1;
-        if 2 * next > stamps {
-            stamps *= 2;
-        }
-        self.block_of.truncate(next + 1);
-        self.block_of.resize(stamps + 1, DEAD);
-        self.bit.clear();
-        self.bit.resize(stamps + 1, 0);
-        for s in 1..=next {
-            self.bit_add(s, 1);
-        }
-        self.clock = next;
+    /// Links `node` in as the most recent block, in bucket 0.
+    fn push_front(&mut self, node: u32) {
+        let head = self.nodes[0].next;
+        self.nodes[node as usize] = Node {
+            prev: 0,
+            next: head,
+            bucket: 0,
+        };
+        self.nodes[head as usize].prev = node;
+        self.nodes[0].next = node;
     }
 }
 
@@ -240,11 +255,11 @@ impl ReuseMeasurement {
     /// (`store == false`) contribute histogram entries, but every
     /// access refreshes its block's recency.
     pub fn record(&mut self, at: usize, addr: u32, store: bool) {
-        let distance = self.stack.touch(addr >> self.line_shift);
+        let bucket = self.stack.touch(addr >> self.line_shift);
         if !store {
             let site = &mut self.sites[at];
-            match distance {
-                Some(d) => site.buckets[distance_bucket(d)] += 1,
+            match bucket {
+                Some(b) => site.buckets[b] += 1,
                 None => site.cold += 1,
             }
         }
@@ -359,9 +374,9 @@ mod tests {
     #[test]
     fn compaction_preserves_distances() {
         let mut m = ReuseMeasurement::new(2, 32);
-        // Seven hot blocks re-referenced across enough traffic to
-        // force several compactions of the (never-growing) stamps.
-        for i in 0..(INITIAL_STAMPS * 4 + 17) {
+        // Seven hot blocks re-referenced across a long run of traffic:
+        // their distances must stay small however long the run.
+        for i in 0..(1024 * 4 + 17) {
             m.record(0, (i as u32 % 7) * 32, false);
         }
         m.record(1, 0x000, false);
@@ -375,17 +390,18 @@ mod tests {
 
     #[test]
     fn stamp_space_grows_past_its_initial_size() {
-        // 3× the initial stamps of distinct blocks, walked twice:
-        // every re-touch skipped every other block, across two
-        // doublings and the compactions between them.
+        // 3 × 1,024 distinct blocks, walked twice: every re-touch
+        // skipped every other block (distance 3,071, bucket 12), and
+        // the first walk opened a marker at each of 12 boundaries.
         let mut stack = StackDistance::new();
-        let n = 3 * INITIAL_STAMPS as u32;
+        let n = 3 * 1024;
         for b in 0..n {
             assert_eq!(stack.touch(b), None);
         }
+        assert_eq!(distance_bucket(u64::from(n) - 1), 12);
         for b in 0..n {
-            assert_eq!(stack.touch(b), Some(u64::from(n) - 1));
+            assert_eq!(stack.touch(b), Some(12));
         }
-        assert!(stack.bit.len() > n as usize);
+        assert_eq!(stack.markers.len(), 12);
     }
 }

@@ -7,12 +7,15 @@
 //! exercised against the reference on every run, not just the generic
 //! walk-the-set path.
 //!
-//! The three-Cs miss classes are checked against their definitions
-//! over a naive most-recent-first list of every block touched.
+//! The three-Cs miss classes and the measured reuse-distance
+//! histograms — the two consumers of the simulator's shadow LRU stack
+//! — are checked against their definitions over a naive
+//! most-recent-first list of every block touched.
 
 use std::collections::VecDeque;
 
-use dl_sim::{Cache, CacheConfig, MissClass, MissClasses};
+use dl_sim::reuse::distance_bucket;
+use dl_sim::{Cache, CacheConfig, MissClass, MissClasses, ReuseMeasurement, SiteHistogram};
 use dl_testkit::{cases, Rng};
 
 /// A transparently-correct LRU model: one deque of tags per set,
@@ -170,6 +173,23 @@ fn repeat_access_always_hits() {
     });
 }
 
+/// A naive most-recent-first list of every block touched. A touch
+/// returns the block's position — its stack distance — before moving
+/// it to the front, or `None` on its first touch.
+#[derive(Default)]
+struct NaiveStack(Vec<u32>);
+
+impl NaiveStack {
+    fn touch(&mut self, block: u32) -> Option<usize> {
+        let position = self.0.iter().position(|&b| b == block);
+        if let Some(p) = position {
+            self.0.remove(p);
+        }
+        self.0.insert(0, block);
+        position
+    }
+}
+
 /// Every miss of a profiled cache carries the class its definition
 /// gives, judged on a naive most-recent-first list of every block
 /// touched: a block never seen is compulsory; one among the
@@ -182,8 +202,8 @@ fn miss_classes_match_their_definitions() {
         let cap = (cfg.size_bytes() / cfg.block_bytes()) as usize;
         let block_addr = |region: u32, block: u32| region + block * cfg.block_bytes();
         let mut stream = arb_stream(rng);
-        // A tail cycling over more than 1,024 blocks: the classifier's
-        // stack must compact and grow its stamp space.
+        // A tail cycling over more than 1,024 blocks: re-touches land
+        // at distances of 1,024 and more (bucket 11).
         let tail = 1025 + rng.index(512) as u32;
         for _ in 0..2 {
             stream.extend((0..tail).map(|b| block_addr(0x3000_0000, b)));
@@ -207,11 +227,10 @@ fn miss_classes_match_their_definitions() {
         let mut cache = Cache::new(cfg);
         cache.enable_profiling();
         let mut reference = RefCache::new(cfg);
-        let mut recency: Vec<u32> = Vec::new();
+        let mut recency = NaiveStack::default();
         let mut expected = MissClasses::default();
         for &addr in &stream {
-            let block = addr / cfg.block_bytes();
-            let position = recency.iter().position(|&b| b == block);
+            let position = recency.touch(addr / cfg.block_bytes());
             let hit = cache.access(addr);
             assert_eq!(hit, reference.access(addr), "profiling perturbed {addr:#x}");
             if !hit {
@@ -227,11 +246,80 @@ fn miss_classes_match_their_definitions() {
                 );
                 expected.add(class);
             }
-            if let Some(p) = position {
-                recency.remove(p);
-            }
-            recency.insert(0, block);
         }
         assert_eq!(cache.profile().expect("profiling on").classes, expected);
+    });
+}
+
+/// The per-site reuse histograms [`ReuseMeasurement`] records equal
+/// the ones a naive stack gives: every access moves its block to the
+/// front, and each load adds its distance's log₂ bucket (or a cold
+/// count) to its site.
+#[test]
+fn measured_buckets_match_a_naive_stack() {
+    const SITES: usize = 8;
+    cases(12, 0xcac4e7, |rng| {
+        let line = 1u32 << [0, 2, 5][rng.index(3)];
+        let shift = line.trailing_zeros();
+        let mut measured = ReuseMeasurement::new(SITES, line);
+        let mut naive = NaiveStack::default();
+        let mut expected = vec![SiteHistogram::default(); SITES];
+        let mut access = |naive: &mut NaiveStack, at: usize, addr: u32, store: bool| {
+            measured.record(at, addr, store);
+            let distance = naive.touch(addr >> shift);
+            if !store {
+                match distance {
+                    Some(d) => expected[at].buckets[distance_bucket(d as u64)] += 1,
+                    None => expected[at].cold += 1,
+                }
+            }
+        };
+        // Arbitrary streams of loads and stores.
+        for addr in arb_stream(rng) {
+            access(&mut naive, rng.index(SITES), addr, rng.chance(0.3));
+        }
+        // A tail of more than 1,024 distinct blocks, walked twice.
+        let tail = 1025 + rng.range_u32(0, 512);
+        for _ in 0..2 {
+            for b in 0..tail {
+                access(&mut naive, 1, 0x3000_0000 + b * line, false);
+            }
+        }
+        // First touches until the stack is deeper than 2^12, so every
+        // bucket boundary up to there opens; now and then a re-touch
+        // of the block at, just above or just below a boundary.
+        let mut fresh = 0;
+        while naive.0.len() <= 1 << 12 {
+            access(&mut naive, 2, 0x4000_0000 + fresh * line, rng.chance(0.2));
+            fresh += 1;
+            if rng.chance(0.25) {
+                let depth = naive.0.len();
+                let boundary = 1usize << rng.index(depth.ilog2() as usize + 1);
+                let position = (boundary + rng.index(3) - 1).min(depth - 1);
+                let addr = naive.0[position] << shift;
+                access(&mut naive, 3, addr, rng.chance(0.2));
+            }
+        }
+        // The top index page of the u32 space, and both sides of
+        // index-page boundaries (4,096 blocks to a page).
+        let page_bytes = 4096u64 * u64::from(line);
+        let pages = (1u64 << 32) / page_bytes;
+        let mut pool: Vec<u32> = (0..32).map(|_| u32::MAX - rng.range_u32(0, 4096)).collect();
+        for _ in 0..32 {
+            let boundary = (1 + rng.below(pages - 1)) * page_bytes;
+            let offset = rng.range_u32(0, 4 * line);
+            pool.push((boundary + u64::from(offset) - 2 * u64::from(line)) as u32);
+        }
+        for _ in 0..400 {
+            let addr = pool[rng.index(pool.len())];
+            access(&mut naive, 4 + rng.index(4), addr, rng.chance(0.3));
+        }
+        for (at, (got, want)) in measured.sites().iter().zip(&expected).enumerate() {
+            assert_eq!(got.cold, want.cold, "site {at} cold, {line}-byte lines");
+            assert_eq!(
+                got.buckets, want.buckets,
+                "site {at} buckets, {line}-byte lines"
+            );
+        }
     });
 }

@@ -56,6 +56,8 @@
 //! (`{workload: {metric: value}}`) and fails if any dropped by more
 //! than `--threshold` percent.
 
+use std::error::Error;
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -74,8 +76,16 @@ use dl_sim::{
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match dispatch(&args) {
+    match dispatch(&args, &mut io::stdout().lock()) {
         Ok(()) => ExitCode::SUCCESS,
+        // A reader that closed the pipe (`dlc top prog.mc | head -3`)
+        // wants no more output: a quiet success.
+        Err(e)
+            if e.downcast_ref::<io::Error>()
+                .is_some_and(|e| e.kind() == io::ErrorKind::BrokenPipe) =>
+        {
+            ExitCode::SUCCESS
+        }
         Err(message) => {
             eprintln!("dlc: {message}");
             ExitCode::from(2)
@@ -211,7 +221,7 @@ fn load_program(options: &Options) -> Result<dl_mips::program::Program, String> 
     compile(&source, options.opt).map_err(|e| format!("{}: {e}", options.path))
 }
 
-fn dispatch(args: &[String]) -> Result<(), String> {
+fn dispatch(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let Some((command, rest)) = args.split_first() else {
         return Err(
             "usage: dlc <build|run|analyze|top> prog.mc [-O1] [--emit asm|bin|words] \
@@ -223,29 +233,32 @@ fn dispatch(args: &[String]) -> Result<(), String> {
         );
     };
     if command == "bench-diff" {
-        return bench_diff(rest);
+        return bench_diff(rest, out);
     }
     let options = parse_options(rest)?;
     match command.as_str() {
         "build" => {
             let program = load_program(&options)?;
             match options.emit.as_str() {
-                "asm" => print!("{}", program.to_asm()),
+                "asm" => write!(out, "{}", program.to_asm())?,
                 "words" => {
                     let words = encode_program(&program).map_err(|e| e.to_string())?;
                     for (i, w) in words.iter().enumerate() {
-                        println!("{:#010x}: {w:#010x}  {}", program.pc(i), program.insts[i]);
+                        writeln!(
+                            out,
+                            "{:#010x}: {w:#010x}  {}",
+                            program.pc(i),
+                            program.insts[i]
+                        )?;
                     }
                 }
                 "bin" => {
-                    use std::io::Write;
                     let words = encode_program(&program).map_err(|e| e.to_string())?;
-                    let mut out = std::io::stdout().lock();
                     for w in words {
-                        out.write_all(&w.to_le_bytes()).map_err(|e| e.to_string())?;
+                        out.write_all(&w.to_le_bytes())?;
                     }
                 }
-                other => return Err(format!("unknown emit kind `{other}`")),
+                other => return Err(format!("unknown emit kind `{other}`").into()),
             }
             Ok(())
         }
@@ -266,7 +279,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let secs = start.elapsed().as_secs_f64();
             spans.record_at(&format!("sim/{}", options.path), start, secs);
             for v in &result.output {
-                println!("{v}");
+                writeln!(out, "{v}")?;
             }
             eprintln!(
                 "[{} instructions, {} loads, {} load misses, exit {}, {:.0}M insts/s]",
@@ -280,7 +293,7 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             print_profile(&result);
             write_trace(&options, &spans)
         }
-        "top" => top(&options),
+        "top" => top(&options, out),
         "analyze" => {
             let spans = Arc::new(Spans::default());
             let program = spans.time(&format!("compile/{}", options.path), || {
@@ -313,22 +326,25 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             let analysis = ctx.analysis();
             let heuristic = Heuristic::default().with_threshold(options.delta);
             let delinquent = heuristic.predict(&ctx);
-            println!(
+            writeln!(
+                out,
                 "Λ = {}   |Δ| = {}   π = {:.2}%   ρ = {:.1}%   (δ = {})",
                 analysis.loads.len(),
                 delinquent.len(),
                 100.0 * pi(delinquent.len(), analysis.loads.len()),
                 100.0 * rho(&result, &delinquent),
                 options.delta
-            );
-            println!(
+            )?;
+            writeln!(
+                out,
                 "{:>6} {:>8} {:>10} {:>9}  pattern",
                 "inst", "phi", "execs", "misses"
-            );
+            )?;
             for &idx in &delinquent {
                 let load = analysis.load_at(idx).expect("flagged load exists");
                 let phi = heuristic.score(load, result.exec_counts[idx]);
-                println!(
+                writeln!(
+                    out,
                     "{:>6} {:>8.2} {:>10} {:>9}  {}",
                     idx,
                     phi,
@@ -337,10 +353,10 @@ fn dispatch(args: &[String]) -> Result<(), String> {
                     load.patterns
                         .first()
                         .map_or_else(|| "?".to_owned(), ToString::to_string)
-                );
+                )?;
             }
             if options.reuse {
-                print_reuse(&ctx, &result, &config, &delinquent, options.delta);
+                print_reuse(&ctx, &result, &config, &delinquent, options.delta, out)?;
             }
             if let Some(classes) = &result.load_miss_classes {
                 eprintln!("[flagged-load miss classes: compulsory / capacity / conflict]");
@@ -353,12 +369,12 @@ fn dispatch(args: &[String]) -> Result<(), String> {
             print_profile(&result);
             write_trace(&options, &spans)
         }
-        other => Err(format!("unknown command `{other}`")),
+        other => Err(format!("unknown command `{other}`").into()),
     }
 }
 
 /// Writes the Chrome trace-event timeline if `--trace-out` was given.
-fn write_trace(options: &Options, spans: &Spans) -> Result<(), String> {
+fn write_trace(options: &Options, spans: &Spans) -> Result<(), Box<dyn Error>> {
     let Some(path) = &options.trace_out else {
         return Ok(());
     };
@@ -370,7 +386,7 @@ fn write_trace(options: &Options, spans: &Spans) -> Result<(), String> {
 /// The `top` subcommand: simulate with the miss observatory on, rank
 /// load sites by total misses, and print each static predictor's
 /// verdict plus the site's phase behavior over epochs.
-fn top(options: &Options) -> Result<(), String> {
+fn top(options: &Options, out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let spans = Arc::new(Spans::default());
     let program = spans.time(&format!("compile/{}", options.path), || {
         load_program(options)
@@ -446,38 +462,41 @@ fn top(options: &Options) -> Result<(), String> {
         .enumerate()
         .filter(|&(_, m)| m > 0)
         .collect();
-    println!(
+    writeln!(
+        out,
         "[{} of {} load sites missed; epoch = {} loads, {} epochs over {} observed loads]",
         missing.len(),
         ctx.analysis().loads.len(),
         observatory.epoch_len(),
         epochs.len(),
         observatory.total_loads(),
-    );
+    )?;
     // With a stride prefetcher in play, show what it hid: demand hits
     // on prefetched lines are would-be misses the ranking no longer
     // sees, attributed per site by the observatory.
     let hidden = if config.memory.prefetch.is_some() {
         let totals = observatory.hidden_totals();
-        println!(
+        writeln!(
+            out,
             "[memory {}: {} would-be misses hidden by prefetch across {} sites]",
             config.memory,
             observatory.total_hidden(),
             totals.iter().filter(|&&n| n > 0).count(),
-        );
+        )?;
         Some(totals)
     } else {
         None
     };
     if let Some(block) = &output.block_stats {
-        println!(
+        writeln!(
+            out,
             "[block cache: {} blocks decoded ({:.1} insts mean), {} dispatches ({} cached), {} insts retired]",
             block.blocks_decoded,
             block.mean_block_len(),
             block.dispatches,
             block.dispatch_hits,
             block.insts_retired,
-        );
+        )?;
     }
     let mut ranked = missing;
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -492,10 +511,11 @@ fn top(options: &Options) -> Result<(), String> {
     } else {
         String::new()
     };
-    println!(
+    writeln!(
+        out,
         "{:>6} {:>10} {:>10} {:>7}{hidden_header}  {header}  phases",
         "inst", "misses", "execs", "ratio"
-    );
+    )?;
     for (idx, misses) in ranked {
         let execs = result.exec_counts[idx];
         #[allow(clippy::cast_precision_loss)]
@@ -524,10 +544,11 @@ fn top(options: &Options) -> Result<(), String> {
         let hidden_cell = hidden.as_ref().map_or_else(String::new, |totals| {
             format!(" {:>9}", totals.get(idx).copied().unwrap_or(0))
         });
-        println!(
+        writeln!(
+            out,
             "{idx:>6} {misses:>10} {execs:>10} {ratio:>7.3}{hidden_cell}  {verdicts}  {}",
             sparkline(&per_epoch, 32)
-        );
+        )?;
     }
     write_trace(options, &spans)
 }
@@ -553,7 +574,7 @@ fn sparkline(values: &[u64], max_cols: usize) -> String {
 /// The `bench-diff` perf-regression gate: compares each workload's
 /// [`GATED`] metric in two `BENCH_e2e.json`-shaped files and fails if
 /// any dropped by more than `threshold` percent.
-fn bench_diff(args: &[String]) -> Result<(), String> {
+fn bench_diff(args: &[String], out: &mut impl Write) -> Result<(), Box<dyn Error>> {
     let mut threshold = 10.0;
     let mut paths: Vec<String> = Vec::new();
     let mut it = args.iter();
@@ -566,7 +587,7 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
                     .parse::<f64>()
                     .map_err(|e| e.to_string())?;
             }
-            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`")),
+            other if other.starts_with('-') => return Err(format!("unknown flag `{other}`").into()),
             p => paths.push(p.to_owned()),
         }
     }
@@ -580,37 +601,48 @@ fn bench_diff(args: &[String]) -> Result<(), String> {
     let old = load(&paths[0])?;
     let new = load(&paths[1])?;
     let diff = diff_metrics(&old, &new, threshold);
-    println!(
+    writeln!(
+        out,
         "{:<26} {:>16} {:>16} {:>9}",
         "metric", "old", "new", "delta"
-    );
+    )?;
     for row in &diff.rows {
-        println!("{row}");
+        writeln!(out, "{row}")?;
     }
     // One-sided metrics are reported, not gated: a freshly added
     // workload has no baseline to regress against, and a removed one
     // is loud here instead of silently vanishing from the comparison.
     for key in &diff.added {
-        println!("{key:<26} {:>16} {:>16}   (added in new)", "-", "present");
+        writeln!(
+            out,
+            "{key:<26} {:>16} {:>16}   (added in new)",
+            "-", "present"
+        )?;
     }
     for key in &diff.removed {
-        println!("{key:<26} {:>16} {:>16}   (removed in new)", "present", "-");
+        writeln!(
+            out,
+            "{key:<26} {:>16} {:>16}   (removed in new)",
+            "present", "-"
+        )?;
     }
     if diff.compared == 0 {
         return Err("no comparable metrics found in the two files".into());
     }
     if diff.regressions.is_empty() {
-        println!(
+        writeln!(
+            out,
             "ok: {} metric(s) within {threshold}% of baseline",
             diff.compared
-        );
+        )?;
         Ok(())
     } else {
         Err(format!(
             "{} metric(s) regressed more than {threshold}%: {}",
             diff.regressions.len(),
             diff.regressions.join(", ")
-        ))
+        )
+        .into())
     }
 }
 
@@ -702,24 +734,27 @@ fn print_reuse(
     config: &RunConfig,
     heuristic_set: &[usize],
     delta: f64,
-) {
+    out: &mut impl Write,
+) -> io::Result<()> {
     let cache = config.cache;
     let geometry = CacheGeometry::new(
         u64::from(cache.size_bytes()),
         u64::from(cache.block_bytes()),
         cache.assoc(),
     );
-    println!(
+    writeln!(
+        out,
         "== reuse analysis ({}B cache, {}-way, {}B lines) ==",
         geometry.capacity, geometry.assoc, geometry.line
-    );
+    )?;
     // Cached in the ctx: the reuse predictions below reuse these same
     // loop nests instead of rebuilding them.
     let loops = ctx.loops();
     for f in &loops.funcs {
         for l in f.nest.loops() {
             let header_inst = f.cfg.blocks()[l.header].start;
-            println!(
+            writeln!(
+                out,
                 "loop {}#{}: header inst {header_inst}, depth {}, {} blocks, trip {:.0} ({})",
                 f.name,
                 l.id,
@@ -731,13 +766,14 @@ fn print_reuse(
                 } else {
                     "assumed"
                 },
-            );
+            )?;
         }
     }
-    println!(
+    writeln!(
+        out,
         "{:>6}  {:<16} {:>5} {:>10} {:>10} {:>10}",
         "inst", "class", "depth", "trip", "predicted", "measured"
-    );
+    )?;
     for p in ctx.reuse_predictions(&geometry) {
         if p.loop_depth == 0 {
             continue;
@@ -748,7 +784,8 @@ fn print_reuse(
         } else {
             0.0
         };
-        println!(
+        writeln!(
+            out,
             "{:>6}  {:<16} {:>5} {:>10.0} {:>10.3} {:>10.3}",
             p.index,
             p.class.to_string(),
@@ -756,20 +793,22 @@ fn print_reuse(
             p.trip,
             p.miss_ratio,
             measured,
-        );
+        )?;
     }
     // The reuse-profile engine: one static histogram per load, priced
     // at this geometry with no re-analysis.
     let profiles = ctx.reuse_profiles();
-    println!(
+    writeln!(
+        out,
         "== reuse profiles ({} loads, {} interprocedural) ==",
         profiles.loads.len(),
         profiles.interprocedural_count(),
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "{:>6}  {:<16} {:>10} {:>6} {:>10} {:>10}",
         "inst", "class", "trip", "xproc", "profile", "measured"
-    );
+    )?;
     let cap_blocks = geometry.capacity / geometry.line;
     for l in &profiles.loads {
         if !l.in_loop {
@@ -786,14 +825,15 @@ fn print_reuse(
         } else {
             format!("{:>10.3}", l.hist.miss_ratio(cap_blocks))
         };
-        println!(
+        writeln!(
+            out,
             "{:>6}  {:<16} {:>10.0} {:>6} {ratio} {:>10.3}",
             l.index,
             l.class.to_string(),
             l.trip,
             if l.interprocedural { "yes" } else { "" },
             measured,
-        );
+        )?;
     }
     let reuse_set = ReusePredictor {
         geometry,
@@ -824,8 +864,13 @@ fn print_reuse(
         ),
     ] {
         let (p, r) = score(&set);
-        println!("{name}: |Δ| = {}   π = {p:.2}%   ρ = {r:.1}%", set.len());
+        writeln!(
+            out,
+            "{name}: |Δ| = {}   π = {p:.2}%   ρ = {r:.1}%",
+            set.len()
+        )?;
     }
+    Ok(())
 }
 
 /// Prints the memory-system counters on stderr when a non-default
@@ -1042,18 +1087,20 @@ mod tests {
             ]
         };
         // A 45% drop fails a 10% gate but passes a 60% one.
-        let err = bench_diff(&args("10")).unwrap_err();
+        let err = bench_diff(&args("10"), &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(err.contains("exec.insts_per_s"), "unexpected error: {err}");
         assert!(!err.contains("tables"), "unexpected error: {err}");
-        assert!(bench_diff(&args("60")).is_ok());
+        assert!(bench_diff(&args("60"), &mut io::sink()).is_ok());
         // A workload that vanished from the new file is reported as
         // removed — it no longer gates, but it is not silently skipped.
         std::fs::write(&new, r#"{"tables": {"insts_per_s": 2.1}}"#).unwrap();
-        assert!(bench_diff(&args("10")).is_ok());
+        assert!(bench_diff(&args("10"), &mut io::sink()).is_ok());
         // With nothing left to compare, the gate refuses to pass.
         std::fs::write(&new, r#"{"observed": {"insts_per_s": 1.0}}"#).unwrap();
-        assert!(bench_diff(&args("10")).is_err());
-        assert!(bench_diff(&[old.display().to_string()]).is_err());
+        assert!(bench_diff(&args("10"), &mut io::sink()).is_err());
+        assert!(bench_diff(&[old.display().to_string()], &mut io::sink()).is_err());
     }
 
     #[test]
@@ -1085,13 +1132,17 @@ mod tests {
 
     #[test]
     fn dispatch_reports_unknown_command() {
-        let e = dispatch(&["frobnicate".into(), "x.mc".into()]).unwrap_err();
+        let e = dispatch(&["frobnicate".into(), "x.mc".into()], &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("unknown command"));
     }
 
     #[test]
     fn dispatch_reports_missing_file() {
-        let e = dispatch(&["run".into(), "/nonexistent/x.mc".into()]).unwrap_err();
+        let e = dispatch(&["run".into(), "/nonexistent/x.mc".into()], &mut io::sink())
+            .unwrap_err()
+            .to_string();
         assert!(e.contains("x.mc"));
     }
 }

@@ -3,7 +3,8 @@
 //!
 //! One static analysis per workload produces per-load reuse-distance
 //! histograms; one simulation per workload measures exact per-site
-//! LRU stack distances (Olken shadow stack). Pricing both at the same
+//! LRU stack-distance buckets (the marker-based shadow stack of
+//! `dl_sim::reuse`). Pricing both at the same
 //! nine cache geometries must agree within a documented tolerance —
 //! the whole point of the engine is that the single geometry-free
 //! histogram prices every geometry without re-analysis.
