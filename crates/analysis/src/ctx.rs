@@ -92,7 +92,7 @@ impl PassStats {
 /// Snapshot of every pass cache of one ctx (or, merged, of a whole
 /// pipeline). Pass names follow the dependency graph in `DESIGN.md`:
 /// `cfg → dom → loops → indvar → reuse` and `cfg → reaching →
-/// patterns`, with `freq` reusing `cfg` + `dom`.
+/// patterns`, with `freq` reusing `cfg` + `dom` + `callgraph`.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CtxStats {
     /// Control-flow graph construction (per function).
@@ -476,10 +476,10 @@ impl AnalysisCtx {
     }
 
     /// The static execution-frequency estimate, computed once per
-    /// program from the cached CFGs and dominator trees.
+    /// program from the cached call graph, CFGs and dominator trees.
     pub fn freq(&self) -> &FreqEstimate {
         self.pass("freq", &self.inner.freq, &self.inner.counters.freq, || {
-            estimate_frequencies_with(&self.inner.program, |f| {
+            estimate_frequencies_with(&self.inner.program, self.callgraph(), |f| {
                 let i = self
                     .func_index(f.start)
                     .expect("frequency walks the ctx's own functions");

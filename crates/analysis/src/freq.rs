@@ -13,9 +13,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use dl_mips::inst::Inst;
 use dl_mips::program::{FuncSym, Program};
 
+use crate::callgraph::CallGraph;
 use crate::cfg::Cfg;
 use crate::dom::Dominators;
 
@@ -71,85 +71,67 @@ impl FreqEstimate {
 /// converges.
 #[must_use]
 pub fn estimate_frequencies(program: &Program) -> FreqEstimate {
-    estimate_frequencies_with(program, |f| {
+    estimate_frequencies_with(program, &CallGraph::build(program), |f| {
         let cfg = Arc::new(Cfg::build(program, f));
         let dom = Arc::new(Dominators::build(&cfg));
         (cfg, dom)
     })
 }
 
-/// [`estimate_frequencies`] with each function's CFG and dominator
-/// tree obtained from `passes` — the hook a pass manager
-/// ([`crate::ctx::AnalysisCtx`]) uses to supply its cached copies
-/// instead of rebuilding them.
+/// [`estimate_frequencies`] over a prebuilt `callgraph`, with each
+/// function's CFG and dominator tree obtained from `passes` — the hook
+/// a pass manager ([`crate::ctx::AnalysisCtx`]) uses to supply its
+/// cached copies instead of rebuilding them.
 #[must_use]
 pub fn estimate_frequencies_with(
     program: &Program,
+    callgraph: &CallGraph,
     mut passes: impl FnMut(&FuncSym) -> (Arc<Cfg>, Arc<Dominators>),
 ) -> FreqEstimate {
-    struct FuncInfo {
-        name: String,
-        start: usize,
-        block_freq: Vec<f64>,
-        cfg: Arc<Cfg>,
-        // (callee entry index, block id of call site)
-        calls: Vec<(usize, usize)>,
-    }
-    let mut infos = Vec::new();
-    for f in program.symbols.funcs() {
-        if f.start >= f.end {
-            continue;
-        }
-        let (cfg, dom) = passes(f);
-        let depths = loop_depths(&cfg, &dom);
-        let block_freq: Vec<f64> = depths
-            .iter()
-            .map(|&d| LOOP_MULTIPLIER.powi(d as i32).min(FREQ_CAP))
-            .collect();
-        let mut calls = Vec::new();
-        for idx in f.start..f.end {
-            if let Inst::Jal { target } = program.insts[idx] {
-                calls.push((target.index(), cfg.block_of(idx)));
-            }
-        }
-        infos.push(FuncInfo {
-            name: f.name.clone(),
-            start: f.start,
-            block_freq,
-            cfg,
-            calls,
-        });
-    }
-    // Entry frequencies via fixpoint over the call graph.
-    let index_of_start: BTreeMap<usize, usize> = infos
+    // Call-graph nodes are the non-empty functions in program order,
+    // so they zip positionally with the symbol table's.
+    let infos: Vec<(Arc<Cfg>, Vec<f64>)> = program
+        .symbols
+        .funcs()
         .iter()
-        .enumerate()
-        .map(|(i, f)| (f.start, i))
+        .filter(|f| f.start < f.end)
+        .map(|f| {
+            let (cfg, dom) = passes(f);
+            let block_freq = loop_depths(&cfg, &dom)
+                .iter()
+                .map(|&d| LOOP_MULTIPLIER.powi(d as i32).min(FREQ_CAP))
+                .collect();
+            (cfg, block_freq)
+        })
         .collect();
+    debug_assert_eq!(infos.len(), callgraph.nodes.len());
+    // Entry frequencies via fixpoint over the call graph.
+    let entry = callgraph
+        .nodes
+        .binary_search_by_key(&program.entry, |n| n.start)
+        .ok();
     let mut entry_freq = vec![0.0f64; infos.len()];
-    if let Some(&e) = index_of_start.get(&program.entry) {
+    if let Some(e) = entry {
         entry_freq[e] = 1.0;
     }
     for _round in 0..20 {
         let mut next = entry_freq.clone();
-        if let Some(&e) = index_of_start.get(&program.entry) {
+        if let Some(e) = entry {
             next[e] = 1.0;
         }
         let mut changed = false;
-        for (ci, info) in infos.iter().enumerate() {
-            for &(callee_start, block) in &info.calls {
-                let Some(&callee) = index_of_start.get(&callee_start) else {
-                    continue;
-                };
-                let contribution = (entry_freq[ci] * info.block_freq[block]).min(FREQ_CAP);
-                if contribution > next[callee] {
+        for (ci, ((cfg, block_freq), node)) in infos.iter().zip(&callgraph.nodes).enumerate() {
+            for site in &node.call_sites {
+                let contribution =
+                    (entry_freq[ci] * block_freq[cfg.block_of(site.at)]).min(FREQ_CAP);
+                if contribution > next[site.callee] {
                     // Take the dominant call chain rather than summing:
                     // keeps recursion from diverging while preserving
                     // the order of magnitude.
-                    if (contribution - next[callee]).abs() > 1e-9 {
+                    if (contribution - next[site.callee]).abs() > 1e-9 {
                         changed = true;
                     }
-                    next[callee] = contribution;
+                    next[site.callee] = contribution;
                 }
             }
         }
@@ -160,13 +142,12 @@ pub fn estimate_frequencies_with(
     }
     let mut inst_freq = vec![0.0f64; program.insts.len()];
     let mut func_freq = BTreeMap::new();
-    for (ci, info) in infos.iter().enumerate() {
-        func_freq.insert(info.name.clone(), entry_freq[ci]);
-        let (lo, hi) = info.cfg.func_range();
+    for (ci, ((cfg, block_freq), node)) in infos.iter().zip(&callgraph.nodes).enumerate() {
+        func_freq.insert(node.name.clone(), entry_freq[ci]);
+        let (lo, hi) = cfg.func_range();
         #[allow(clippy::needless_range_loop)] // index is an instruction address
         for idx in lo..hi {
-            let b = info.cfg.block_of(idx);
-            inst_freq[idx] = (entry_freq[ci] * info.block_freq[b]).min(FREQ_CAP);
+            inst_freq[idx] = (entry_freq[ci] * block_freq[cfg.block_of(idx)]).min(FREQ_CAP);
         }
     }
     FreqEstimate {

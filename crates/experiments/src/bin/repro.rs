@@ -270,14 +270,7 @@ fn warm(
     }
     if smoke {
         for spec in &mut specs {
-            for v in spec
-                .bench
-                .input1
-                .iter_mut()
-                .chain(spec.bench.input2.iter_mut())
-            {
-                *v = (*v).clamp(1, 64);
-            }
+            spec.bench = spec.bench.smoke();
         }
     }
     let report = spans.time("warm", || prewarm_with_stats(pipeline, &specs, jobs));

@@ -590,14 +590,7 @@ mod tests {
     fn shrunk_table3() -> Vec<crate::schedule::RunSpec> {
         let mut specs = table_specs("table3");
         for spec in &mut specs {
-            for v in spec
-                .bench
-                .input1
-                .iter_mut()
-                .chain(spec.bench.input2.iter_mut())
-            {
-                *v = (*v).clamp(1, 64);
-            }
+            spec.bench = spec.bench.smoke();
         }
         specs
     }

@@ -32,10 +32,7 @@ use dl_analysis::extract::ProgramAnalysis;
 use dl_minic::OptLevel;
 use dl_mips::program::Program;
 use dl_obs::Spans;
-use dl_sim::{
-    run_with_stats, BlockStats, CacheConfig, Engine, MemoryConfig, ObserveConfig, RunConfig,
-    RunResult,
-};
+use dl_sim::{run_with_stats, BlockStats, CacheConfig, Engine, MemoryConfig, RunConfig, RunResult};
 use dl_workloads::Benchmark;
 
 use crate::obs::SpanPassObserver;
@@ -214,9 +211,6 @@ pub struct Pipeline {
     /// pass computations), so `--trace-out` can lay the whole pipeline
     /// out on one timeline. `None` (the default) records nothing.
     trace: Mutex<Option<Arc<Spans>>>,
-    /// When set, every simulation runs with the per-load-site miss
-    /// observatory enabled. `None` (the default) keeps the fast path.
-    observe: Mutex<Option<ObserveConfig>>,
 }
 
 impl Default for Pipeline {
@@ -230,7 +224,6 @@ impl Default for Pipeline {
             engine: Mutex::default(),
             block_stats: Mutex::default(),
             trace: Mutex::new(None),
-            observe: Mutex::new(None),
         }
     }
 }
@@ -291,22 +284,6 @@ impl Pipeline {
 
     fn trace_spans(&self) -> Option<Arc<Spans>> {
         self.trace.lock().expect("trace lock").clone()
-    }
-
-    /// Enables the simulator's per-load-site miss observatory on every
-    /// simulation this pipeline computes *from now on* (memoized
-    /// entries keep whatever setting they were computed under). The
-    /// windowed data itself is surfaced by `dlc top`; through the
-    /// pipeline the toggle exists so the zero-overhead suite can prove
-    /// observing changes no table byte. Observation rides the block
-    /// engine's instrumented slow path and never changes hit/miss
-    /// counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the observe lock is poisoned.
-    pub fn set_observe(&self, config: Option<ObserveConfig>) {
-        *self.observe.lock().expect("observe lock") = config;
     }
 
     /// Runs (or returns the memoized run of) one configuration.
@@ -441,7 +418,6 @@ impl Pipeline {
             input: bench.input(input_set).to_vec(),
             classify_misses: self.classify.load(Ordering::Relaxed),
             engine: self.engine(),
-            observe: *self.observe.lock().expect("observe lock"),
             ..RunConfig::default()
         };
         let sim_start = Instant::now();

@@ -327,7 +327,7 @@ mod tests {
             let pipeline = Pipeline::new();
             let mut specs = table_specs(name);
             for spec in &mut specs {
-                shrink(&mut spec.bench);
+                spec.bench = spec.bench.smoke();
             }
             prewarm(&pipeline, &specs, 1);
             let warmed = pipeline.simulations();
@@ -357,7 +357,7 @@ mod tests {
     fn parallel_prewarm_matches_sequential_simulation_count() {
         let mut specs = table_specs("table3");
         for spec in &mut specs {
-            shrink(&mut spec.bench);
+            spec.bench = spec.bench.smoke();
         }
         let sequential = Pipeline::new();
         prewarm(&sequential, &specs, 1);
@@ -371,7 +371,7 @@ mod tests {
     fn prewarm_reports_worker_utilisation() {
         let mut specs = table_specs("table3");
         for spec in &mut specs {
-            shrink(&mut spec.bench);
+            spec.bench = spec.bench.smoke();
         }
         let pipeline = Pipeline::new();
         let report = prewarm_with_stats(&pipeline, &specs, 3);
@@ -384,12 +384,5 @@ mod tests {
         let seq = prewarm_with_stats(&Pipeline::new(), &specs, 1);
         assert_eq!(seq.workers.len(), 1);
         assert_eq!(seq.workers[0].specs, specs.len() as u64);
-    }
-
-    /// Shrinks a benchmark's inputs so tests stay fast.
-    fn shrink(b: &mut Benchmark) {
-        for v in b.input1.iter_mut().chain(b.input2.iter_mut()) {
-            *v = (*v).clamp(1, 64);
-        }
     }
 }

@@ -1482,14 +1482,7 @@ mod tests {
         let p = Pipeline::new();
         let mut specs = crate::schedule::table_specs(table);
         for spec in &mut specs {
-            for v in spec
-                .bench
-                .input1
-                .iter_mut()
-                .chain(spec.bench.input2.iter_mut())
-            {
-                *v = (*v).clamp(1, 64);
-            }
+            spec.bench = spec.bench.smoke();
         }
         crate::schedule::prewarm(&p, &specs, jobs);
         (p, specs)

@@ -1,10 +1,11 @@
 //! Observability must never perturb results: the experiment tables a
 //! pipeline renders with miss classification (the `--profile` /
-//! `--manifest` collection path), span tracing (`--trace-out`), or
-//! the per-site miss observatory (`dlc top`) enabled are
-//! byte-identical to an unobserved run. Instrumentation only *labels
-//! or times* work the simulator already does — it must not change
-//! what hits or misses, and none of its output flows into the tables.
+//! `--manifest` collection path) or span tracing (`--trace-out`)
+//! enabled are byte-identical to an unobserved run. Instrumentation
+//! only *labels or times* work the simulator already does — it must
+//! not change what hits or misses, and none of its output flows into
+//! the tables. The per-site miss observatory (`dlc top`) is held to
+//! the same rule by `tests/observatory_differential.rs`.
 
 use std::sync::Arc;
 
@@ -13,21 +14,14 @@ use dl_experiments::pipeline::Pipeline;
 use dl_experiments::schedule::{prewarm, union_specs, RunSpec};
 use dl_experiments::tables::{all_tables, TableFn};
 use dl_obs::Spans;
-use dl_sim::{Engine, ObserveConfig};
+use dl_sim::Engine;
 
 const SUBSET: &[&str] = &["table3", "table7"];
 
 fn shrunk_specs(tables: &[&str]) -> Vec<RunSpec> {
     let mut specs = union_specs(tables.iter().copied());
     for spec in &mut specs {
-        for v in spec
-            .bench
-            .input1
-            .iter_mut()
-            .chain(spec.bench.input2.iter_mut())
-        {
-            *v = (*v).clamp(1, 64);
-        }
+        spec.bench = spec.bench.smoke();
     }
     specs
 }
@@ -45,7 +39,6 @@ enum Instrument {
     Off,
     Classify,
     Trace,
-    Observe,
 }
 
 fn render_instrumented(mode: Instrument, engine: Engine) -> String {
@@ -55,8 +48,6 @@ fn render_instrumented(mode: Instrument, engine: Engine) -> String {
         Instrument::Off => {}
         Instrument::Classify => pipeline.set_classify_misses(true),
         Instrument::Trace => pipeline.set_trace_spans(Arc::new(Spans::default())),
-        // A small epoch so the shrunk runs still roll several windows.
-        Instrument::Observe => pipeline.set_observe(Some(ObserveConfig { epoch_len: 4096 })),
     }
     prewarm(&pipeline, &shrunk_specs(SUBSET), 2);
     experiments_doc(&pipeline, &subset_tables(), |_, _| {})
@@ -109,16 +100,14 @@ fn observed_tables_identical_across_engines() {
     );
 }
 
-/// The 6-way instrumentation matrix: both engines × {all off, tracing
-/// on, observatory on} render byte-identical tables. Tracing records
-/// wall-clock spans off to the side; the observatory forces the block
-/// engine onto its instrumented slow path — neither may change a
-/// single table byte.
+/// The 4-way instrumentation matrix: both engines × {all off, tracing
+/// on} render byte-identical tables. Tracing records wall-clock spans
+/// off to the side — it may not change a single table byte.
 #[test]
-fn tracing_and_observatory_leave_tables_byte_identical() {
+fn tracing_leaves_tables_byte_identical() {
     let baseline = render_instrumented(Instrument::Off, Engine::Step);
     for engine in [Engine::Step, Engine::Block] {
-        for mode in [Instrument::Off, Instrument::Trace, Instrument::Observe] {
+        for mode in [Instrument::Off, Instrument::Trace] {
             assert_eq!(
                 baseline,
                 render_instrumented(mode, engine),
@@ -131,8 +120,8 @@ fn tracing_and_observatory_leave_tables_byte_identical() {
 /// The memory-system matrix table is covered by the zero-overhead
 /// guarantee too: rendering `extension-memmatrix` — whose runs span
 /// every replacement policy, both L2 inclusion modes, and the stride
-/// prefetcher — with the observatory enabled under the block engine
-/// must be byte-identical to an unobserved step-engine render.
+/// prefetcher — with classification enabled under the block engine
+/// must be byte-identical to an unclassified step-engine render.
 #[test]
 fn memmatrix_table_is_immune_to_instrumentation() {
     let memmatrix: Vec<(&str, TableFn)> = all_tables()
@@ -140,12 +129,10 @@ fn memmatrix_table_is_immune_to_instrumentation() {
         .filter(|(name, _)| *name == "extension-memmatrix")
         .collect();
     assert_eq!(memmatrix.len(), 1, "extension-memmatrix is registered");
-    let render = |observe: bool, engine: Engine| {
+    let render = |classify: bool, engine: Engine| {
         let pipeline = Pipeline::new();
         pipeline.set_engine(engine);
-        if observe {
-            pipeline.set_observe(Some(ObserveConfig { epoch_len: 4096 }));
-        }
+        pipeline.set_classify_misses(classify);
         prewarm(&pipeline, &shrunk_specs(&["extension-memmatrix"]), 2);
         experiments_doc(&pipeline, &memmatrix, |_, _| {})
     };
@@ -157,7 +144,7 @@ fn memmatrix_table_is_immune_to_instrumentation() {
     assert_eq!(
         baseline,
         render(true, Engine::Block),
-        "observatory under the block engine changed the memmatrix table"
+        "classification under the block engine changed the memmatrix table"
     );
 }
 

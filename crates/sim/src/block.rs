@@ -1418,9 +1418,9 @@ fn mem_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Tr
 /// compare ([`mru_hit`]) using the hoisted [`CacheView`] geometry;
 /// everything else funnels through [`MemorySystem::demand_access`]. Only
 /// misses update counters — `loads`/`dcache_accesses` totals are
-/// batched per block retirement, and per-site hits are reconstructed
-/// at the end of the run as `exec_counts - load_misses` (every
-/// execution of a load site is exactly one access).
+/// batched per block retirement, and no per-site hits are recorded: a
+/// site's hits are `exec_counts - load_misses` (every execution of a
+/// load site is exactly one access).
 #[inline(always)]
 fn load_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
     if SLOW {

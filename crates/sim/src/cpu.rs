@@ -345,9 +345,7 @@ impl<'p> Machine<'p> {
         self.result.dcache_accesses += 1;
         self.result.loads += 1;
         let access = self.cache.demand_access(addr);
-        if access.hit {
-            self.result.load_hits[at] += 1;
-        } else {
+        if !access.hit {
             self.result.load_misses[at] += 1;
             self.result.load_misses_total += 1;
             self.result.dcache_misses += 1;
@@ -676,6 +674,21 @@ impl<'p> Machine<'p> {
             if let Err(violation) = self.result.check_consistency() {
                 panic!("inconsistent RunResult: {violation}");
             }
+            // Every execution of a load site is exactly one load
+            // access; on the fast path this ties each block's static
+            // load slots to the range-expanded exec counts.
+            let load_execs: u64 = self
+                .program
+                .insts
+                .iter()
+                .zip(&self.result.exec_counts)
+                .filter(|(inst, _)| inst.is_load())
+                .map(|(_, &n)| n)
+                .sum();
+            assert_eq!(
+                load_execs, self.result.loads,
+                "load-site executions diverge from dynamic loads"
+            );
         }
         let observatory = self.observatory.map(|mut obs| {
             obs.finish();
@@ -730,15 +743,6 @@ impl<'p> Machine<'p> {
         cache.flush_exec_counts(&mut self.result);
         if !slow {
             cache.flush_access_totals(&mut self.result);
-            // The fast path skips per-access hit bookkeeping; every
-            // execution of a load site is exactly one access, so its
-            // hits are its executions minus its recorded misses.
-            for (i, inst) in self.program.insts.iter().enumerate() {
-                if inst.is_load() {
-                    self.result.load_hits[i] =
-                        self.result.exec_counts[i] - self.result.load_misses[i];
-                }
-            }
         }
         Ok(cache.stats())
     }
@@ -831,8 +835,8 @@ mod tests {
         assert_eq!(r.stores, 1);
         assert_eq!(r.dcache_misses, 1);
         assert_eq!(r.load_misses_total, 0);
-        assert_eq!(r.load_hits[2], 1);
-        assert_eq!(r.load_hits[3], 1);
+        assert_eq!(r.exec_counts[2] - r.load_misses[2], 1);
+        assert_eq!(r.exec_counts[3] - r.load_misses[3], 1);
     }
 
     #[test]
@@ -854,7 +858,10 @@ mod tests {
         );
         let load_idx = 4;
         assert_eq!(r.load_misses[load_idx], 1024 / 8);
-        assert_eq!(r.load_hits[load_idx], 1024 - 1024 / 8);
+        assert_eq!(
+            r.exec_counts[load_idx] - r.load_misses[load_idx],
+            1024 - 1024 / 8
+        );
         assert_eq!(r.exec_counts[load_idx], 1024);
     }
 

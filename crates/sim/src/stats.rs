@@ -7,7 +7,8 @@ use crate::cache::CacheProfile;
 ///
 /// Vectors are indexed by static instruction index (parallel to
 /// `Program::insts`). `M(i, C)` from the paper is `load_misses[i]`;
-/// `E(i)` is `exec_counts[i]`.
+/// `E(i)` is `exec_counts[i]`, so a load site's hits are
+/// `E(i) - M(i, C)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunResult {
     /// Total dynamic instructions executed.
@@ -26,8 +27,6 @@ pub struct RunResult {
     pub exec_counts: Vec<u64>,
     /// Per-instruction load miss counts (`M(i, C)`; zero for non-loads).
     pub load_misses: Vec<u64>,
-    /// Per-instruction load hit counts (zero for non-loads).
-    pub load_hits: Vec<u64>,
     /// Prefetch requests issued by instrumented load sites.
     pub prefetches_issued: u64,
     /// L2 hits (zero unless an L2 is configured).
@@ -62,7 +61,6 @@ impl RunResult {
         RunResult {
             exec_counts: vec![0; n],
             load_misses: vec![0; n],
-            load_hits: vec![0; n],
             ..RunResult::default()
         }
     }
@@ -71,17 +69,6 @@ impl RunResult {
     #[must_use]
     pub fn misses_of_set(&self, set: &[usize]) -> u64 {
         set.iter().map(|&i| self.load_misses[i]).sum()
-    }
-
-    /// Miss rate of static load `index`, or 0 if never executed.
-    #[must_use]
-    pub fn miss_rate_of(&self, index: usize) -> f64 {
-        let total = self.load_misses[index] + self.load_hits[index];
-        if total == 0 {
-            0.0
-        } else {
-            self.load_misses[index] as f64 / total as f64
-        }
     }
 
     /// Verifies the cross-field invariants every finished run must
@@ -98,13 +85,6 @@ impl RunResult {
             return Err(format!(
                 "per-site misses {site_misses} != load_misses_total {}",
                 self.load_misses_total
-            ));
-        }
-        let site_hits: u64 = self.load_hits.iter().sum();
-        if site_hits + self.load_misses_total != self.loads {
-            return Err(format!(
-                "hits {site_hits} + misses {} != dynamic loads {}",
-                self.load_misses_total, self.loads
             ));
         }
         if self.loads + self.stores != self.dcache_accesses {
@@ -183,7 +163,6 @@ mod tests {
         let r = RunResult::with_len(5);
         assert_eq!(r.exec_counts.len(), 5);
         assert_eq!(r.load_misses.len(), 5);
-        assert_eq!(r.load_hits.len(), 5);
     }
 
     #[test]
@@ -210,14 +189,5 @@ mod tests {
         assert!(err.contains("class sum"), "{err}");
         r.load_miss_classes = Some(vec![[1, 1, 1], [0, 0, 0]]);
         assert!(r.check_consistency().is_ok());
-    }
-
-    #[test]
-    fn miss_rate() {
-        let mut r = RunResult::with_len(2);
-        r.load_misses[0] = 3;
-        r.load_hits[0] = 1;
-        assert!((r.miss_rate_of(0) - 0.75).abs() < 1e-12);
-        assert_eq!(r.miss_rate_of(1), 0.0);
     }
 }

@@ -59,8 +59,6 @@ pub struct TraceRecord {
 pub struct ReplayStats {
     /// Per-instruction load miss counts (parallel to the program).
     pub load_misses: Vec<u64>,
-    /// Per-instruction load hit counts.
-    pub load_hits: Vec<u64>,
     /// Total load misses.
     pub load_misses_total: u64,
     /// Total misses including stores.
@@ -98,21 +96,16 @@ pub fn replay_trace(
     let mut cache = Cache::new(geometry);
     let mut stats = ReplayStats {
         load_misses: vec![0; inst_count],
-        load_hits: vec![0; inst_count],
         ..ReplayStats::default()
     };
     for rec in trace {
-        let hit = cache.access(rec.addr);
-        if rec.store {
-            if !hit {
-                stats.dcache_misses += 1;
-            }
-        } else if hit {
-            stats.load_hits[rec.at as usize] += 1;
-        } else {
+        if cache.access(rec.addr) {
+            continue;
+        }
+        stats.dcache_misses += 1;
+        if !rec.store {
             stats.load_misses[rec.at as usize] += 1;
             stats.load_misses_total += 1;
-            stats.dcache_misses += 1;
         }
     }
     stats
@@ -150,7 +143,7 @@ mod tests {
         assert_eq!(trace.len() as u64, captured.dcache_accesses);
         let replay = replay_trace(&trace, cfg.cache, p.insts.len());
         assert_eq!(replay.load_misses, captured.load_misses);
-        assert_eq!(replay.load_hits, captured.load_hits);
+        assert_eq!(replay.load_misses_total, captured.load_misses_total);
         assert_eq!(replay.dcache_misses, captured.dcache_misses);
     }
 

@@ -424,7 +424,7 @@ fn matrix_observability_is_zero_perturbation() {
         let rich = assert_engines_agree(program, &observed).expect("observed run completes");
         let at = format!("{memory}, input {i}");
         assert_eq!(rich.load_misses, bare.load_misses, "{at}");
-        assert_eq!(rich.load_hits, bare.load_hits, "{at}");
+        assert_eq!(rich.exec_counts, bare.exec_counts, "{at}");
         assert_eq!(rich.l2_hits, bare.l2_hits, "{at}");
         assert_eq!(rich.l2_misses, bare.l2_misses, "{at}");
         assert_eq!(rich.prefetch_fills, bare.prefetch_fills, "{at}");

@@ -90,6 +90,17 @@ impl Benchmark {
             _ => panic!("input set must be 1 or 2"),
         }
     }
+
+    /// A copy with both input sets clamped to `[1, 64]`: the shrunk
+    /// workload `repro --smoke` and the fast tests simulate.
+    #[must_use]
+    pub fn smoke(&self) -> Benchmark {
+        let mut b = self.clone();
+        for v in b.input1.iter_mut().chain(b.input2.iter_mut()) {
+            *v = (*v).clamp(1, 64);
+        }
+        b
+    }
 }
 
 macro_rules! bench {

@@ -116,7 +116,7 @@ fn extension_workloads_identical_across_engines_under_memory_matrix() {
         },
     ];
     for b in delinquent_loads::workloads::extension_benchmarks() {
-        let input: Vec<i32> = b.input2.iter().map(|v| (*v).clamp(1, 64)).collect();
+        let input = b.smoke().input2;
         let program = b.compile(OptLevel::O1).expect("workload compiles");
         for memory in configs {
             let config = |engine| RunConfig {
@@ -154,7 +154,7 @@ fn hidden_miss_ledger_matches_prefetch_counters() {
     };
     let mut hidden_somewhere = false;
     for b in delinquent_loads::workloads::extension_benchmarks() {
-        let input: Vec<i32> = b.input2.iter().map(|v| (*v).clamp(1, 64)).collect();
+        let input = b.smoke().input2;
         let program = b.compile(OptLevel::O1).expect("workload compiles");
         let observe = |engine| {
             let config = RunConfig {
