@@ -216,7 +216,7 @@ names = [s["name"] for s in step["stages"]]
 assert names == sorted(names), "manifest stages not sorted"
 mc = step["miss_classes"]
 split = (mc["classified_runs"], mc["compulsory"], mc["capacity"], mc["conflict"])
-assert split == (213, 1192009, 19609083, 1687405), f"three-Cs split moved: {mc}"
+assert split == (229, 1308170, 22515940, 1870791), f"three-Cs split moved: {mc}"
 report = open("/tmp/ci_block_profile.err").read()
 line = f"({mc['total']} classified misses over {mc['classified_runs']} runs)"
 assert any(l.startswith("miss classes:") and line in l for l in report.splitlines()), \

@@ -23,6 +23,7 @@
 //! profileless ctx per `(benchmark, opt)`; each simulated run holds a
 //! profiled view of the same underlying caches.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -52,6 +53,13 @@ pub trait PassObserver: Send + Sync + std::fmt::Debug {
     fn pass_computed(&self, pass: &'static str, start: Instant, duration: Duration);
 }
 
+thread_local! {
+    /// Nanoseconds this thread has spent inside [`AnalysisCtx::pass`]
+    /// calls nested in the computation it is running, so that
+    /// computation can count only its own time.
+    static NESTED_NANOS: Cell<u64> = const { Cell::new(0) };
+}
+
 /// Hit/miss/time counters for one analysis pass.
 #[derive(Debug, Default)]
 struct PassCounter {
@@ -77,7 +85,9 @@ pub struct PassStats {
     pub hits: u64,
     /// Requests that computed the pass.
     pub misses: u64,
-    /// Wall time spent computing (zero on pure hits).
+    /// Wall time spent computing this pass itself (zero on pure
+    /// hits). Passes it requested while computing count under their
+    /// own names, not again here.
     pub secs: f64,
 }
 
@@ -168,7 +178,7 @@ impl CtxStats {
         }
     }
 
-    /// Total wall time spent computing passes.
+    /// Total wall time spent computing passes, each counted once.
     #[must_use]
     pub fn total_secs(&self) -> f64 {
         self.passes().iter().map(|(_, p)| p.secs).sum()
@@ -335,7 +345,11 @@ impl AnalysisCtx {
     /// Runs `compute` at most once per `slot`, counting hits, misses,
     /// and compute time. Concurrent first requests may race inside
     /// `OnceLock::get_or_init`; exactly one result is kept and only
-    /// the kept computation counts as the miss.
+    /// the kept computation counts as the miss. The counted time is
+    /// the pass's own: time spent inside the passes `compute`
+    /// requests (on this thread, computing or waiting) is theirs. The
+    /// observer still sees the inclusive span, which nests on a
+    /// timeline.
     fn pass<'a, T>(
         &'a self,
         name: &'static str,
@@ -348,18 +362,21 @@ impl AnalysisCtx {
             return ready;
         }
         let start = Instant::now();
+        let outer = NESTED_NANOS.replace(0);
         let mut computed = false;
         let value = slot.get_or_init(|| {
             computed = true;
             compute()
         });
+        let elapsed = start.elapsed();
+        let nanos = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
+        // All of this call is nested time of the enclosing pass.
+        let nested = NESTED_NANOS.replace(outer.saturating_add(nanos));
         if computed {
-            let elapsed = start.elapsed();
             counter.misses.fetch_add(1, Ordering::Relaxed);
-            counter.nanos.fetch_add(
-                u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX),
-                Ordering::Relaxed,
-            );
+            counter
+                .nanos
+                .fetch_add(nanos.saturating_sub(nested), Ordering::Relaxed);
             if let Some(observer) = self.inner.observer.get() {
                 observer.pass_computed(name, start, elapsed);
             }
@@ -733,6 +750,22 @@ mod tests {
         );
         // Setting a second observer is a silent no-op (first wins).
         ctx.set_pass_observer(Arc::new(Recorder::default()));
+    }
+
+    #[test]
+    fn pass_times_count_each_computation_once() {
+        let ctx = ctx();
+        let start = Instant::now();
+        // Computes every pass but freq, most of them nested inside
+        // profile, indvar, patterns or loops.
+        let _ = ctx.reuse_profiles();
+        let wall = start.elapsed().as_secs_f64();
+        let s = ctx.stats();
+        assert!(
+            s.total_secs() <= wall,
+            "passes counted {}s inside a {wall}s call: {s:?}",
+            s.total_secs()
+        );
     }
 
     #[test]

@@ -183,9 +183,7 @@ fn main() {
         }
         return;
     }
-    let pipeline = Pipeline::new();
-    pipeline.set_engine(engine);
-    pipeline.set_classify_misses(obs.enabled());
+    let pipeline = Pipeline::with_config(engine, obs.enabled());
     let spans = Arc::new(Spans::default());
     if obs.trace.is_some() {
         pipeline.set_trace_spans(Arc::clone(&spans));

@@ -597,8 +597,7 @@ mod tests {
 
     #[test]
     fn manifest_has_mandatory_sections() {
-        let pipeline = Pipeline::new();
-        pipeline.set_classify_misses(true);
+        let pipeline = Pipeline::with_config(dl_sim::Engine::default(), true);
         let spans = Spans::default();
         let report = spans.time("warm", || {
             prewarm_with_stats(&pipeline, &shrunk_table3(), 2)

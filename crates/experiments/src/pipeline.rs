@@ -1,9 +1,11 @@
 //! The compile → simulate → analyze pipeline, memoized per
-//! (benchmark, optimization level, input set, cache geometry).
+//! [`RunSpec`]: benchmark, optimization level, input set, cache
+//! geometry, memory system, prefetch-site filter and reuse
+//! measurement.
 //!
-//! The memo table is thread-safe: one `Mutex<HashMap>` maps each key
+//! The memo table is thread-safe: one `Mutex<HashMap>` maps each spec
 //! to a shared `OnceLock` cell, and the lock is held only for that
-//! lookup. Requests for the same key are deduplicated *in flight* —
+//! lookup. Requests for the same spec are deduplicated *in flight* —
 //! the first thread to reach the cell runs the simulation while every
 //! other thread requesting it blocks in `OnceLock::get_or_init` and
 //! receives the shared result, so a configuration is simulated
@@ -18,12 +20,13 @@
 //! Every table-generation PR to come needs to see inside this machine,
 //! so the pipeline self-reports: memo hit/miss/wait counters
 //! ([`Pipeline::stats`]), per-configuration compile and simulation
-//! wall times ([`Pipeline::config_timings`]), and — when
-//! [`Pipeline::set_classify_misses`] is enabled — the simulator's
-//! miss-class breakdown on every run it computes.
+//! wall times ([`Pipeline::config_timings`]), and — for a pipeline
+//! built by [`Pipeline::with_config`] with classification on — the
+//! simulator's miss-class breakdown on every run it computes.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::fmt::Write as _;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
@@ -32,42 +35,47 @@ use dl_analysis::extract::ProgramAnalysis;
 use dl_minic::OptLevel;
 use dl_mips::program::Program;
 use dl_obs::Spans;
-use dl_sim::{run_with_stats, BlockStats, CacheConfig, Engine, MemoryConfig, RunConfig, RunResult};
+use dl_sim::{
+    run_full, BlockStats, CacheConfig, Engine, MemoryConfig, ReuseMeasurement, RunConfig, RunResult,
+};
 use dl_workloads::Benchmark;
 
 use crate::obs::SpanPassObserver;
+use crate::schedule::RunSpec;
 
 /// Everything produced by one end-to-end benchmark run.
 #[derive(Debug)]
 pub struct BenchRun {
-    /// Benchmark name.
-    pub name: String,
+    /// The configuration this run simulated, with the benchmark (and
+    /// so the input values) it actually ran on.
+    spec: RunSpec,
     /// The shared analysis context of the compiled program, with this
     /// run's execution counts attached as its profile. Clones of the
     /// pipeline's per-`(bench, opt)` ctx: every run of the same
     /// compilation shares one set of pass caches.
     ctx: AnalysisCtx,
-    /// The input the program ran on. The memo key names the input
-    /// set, not its values, so a run that must repeat this one under
-    /// another configuration takes its input from here.
-    input: Vec<i32>,
     /// Simulation measurements.
     pub result: RunResult,
+    /// Measured per-site reuse-distance histograms, when the spec
+    /// asked for them ([`RunSpec::reuse`]).
+    pub reuse: Option<ReuseMeasurement>,
 }
 
 impl BenchRun {
+    /// The run's configuration. A run that must repeat this one under
+    /// another configuration derives its spec from here, so it keeps
+    /// this run's benchmark and input.
+    #[must_use]
+    pub fn spec(&self) -> &RunSpec {
+        &self.spec
+    }
+
     /// The run's analysis context: every analysis of the compiled
     /// program, lazily computed and shared across runs, with this
     /// run's execution counts attached.
     #[must_use]
     pub fn ctx(&self) -> &AnalysisCtx {
         &self.ctx
-    }
-
-    /// The input values the simulation read.
-    #[must_use]
-    pub fn input(&self) -> &[i32] {
-        &self.input
     }
 
     /// The compiled program.
@@ -94,8 +102,6 @@ impl BenchRun {
         self.analysis().loads.iter().map(|l| l.index).collect()
     }
 }
-
-type Key = (String, OptLevel, u8, CacheConfig, MemoryConfig);
 
 /// One memo-table entry: empty while its simulation is in flight (or
 /// after it panicked), then the finished run shared by every requester.
@@ -148,6 +154,11 @@ pub struct ConfigTiming {
     pub cache: CacheConfig,
     /// Memory-system configuration (policy / L2 / prefetch).
     pub memory: MemoryConfig,
+    /// How many load sites trigger the prefetcher, when the run
+    /// filters them ([`RunSpec::prefetch_sites`]).
+    pub sites: Option<usize>,
+    /// Whether the run measured reuse distances ([`RunSpec::reuse`]).
+    pub reuse: bool,
     /// Seconds spent compiling + analyzing (0 on a compile-cache hit).
     pub compile_secs: f64,
     /// Seconds spent simulating.
@@ -159,8 +170,9 @@ pub struct ConfigTiming {
 impl ConfigTiming {
     /// A compact human label, e.g. `181.mcf/O0/in1/8KB 4-way 32B-block`.
     /// A non-default memory system appends its own segment, e.g.
-    /// `…/32B-block/plru+l2:64KB-8w-incl`, so the paper-reproduction
-    /// labels stay byte-identical.
+    /// `…/32B-block/plru+l2:64KB-8w-incl`, and so do a prefetch-site
+    /// filter (`…/lru+nl1/12-sites`) and a reuse measurement
+    /// (`…/reuse`); the paper configurations keep the bare label.
     #[must_use]
     pub fn label(&self) -> String {
         let mut s = format!(
@@ -168,8 +180,13 @@ impl ConfigTiming {
             self.bench, self.opt, self.input_set, self.cache
         );
         if !self.memory.is_default() {
-            s.push('/');
-            s.push_str(&self.memory.to_string());
+            let _ = write!(s, "/{}", self.memory);
+        }
+        if let Some(sites) = self.sites {
+            let _ = write!(s, "/{sites}-sites");
+        }
+        if self.reuse {
+            s.push_str("/reuse");
         }
         s
     }
@@ -189,20 +206,22 @@ struct Counters {
 ///
 /// Compilation + analysis are shared across input sets and cache
 /// geometries for the same `(benchmark, opt)`; simulation results are
-/// cached per full key, so tables that share configurations do not
-/// re-simulate. Concurrent requests for the same key block until the
+/// cached per [`RunSpec`], so tables that share configurations do not
+/// re-simulate. Concurrent requests for the same spec block until the
 /// single in-flight computation finishes and then share its result.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Pipeline {
-    runs: Mutex<HashMap<Key, Slot>>,
+    runs: Mutex<HashMap<RunSpec, Slot>>,
     /// One analysis context per `(bench, opt)`: the 99-configuration
     /// sweep analyzes each of its programs exactly once, no matter how
     /// many input sets, cache geometries, or predictors consume them.
     compiled: Mutex<HashMap<(String, OptLevel), AnalysisCtx>>,
     counters: Counters,
     timings: Mutex<Vec<ConfigTiming>>,
-    classify: AtomicBool,
-    engine: Mutex<Engine>,
+    /// Fixed at construction, so every entry of the memo was computed
+    /// under the same engine and classification setting.
+    engine: Engine,
+    classify: bool,
     /// Block-cache counters merged over every computed simulation
     /// (all zero under [`Engine::Step`]).
     block_stats: Mutex<BlockStats>,
@@ -213,58 +232,32 @@ pub struct Pipeline {
     trace: Mutex<Option<Arc<Spans>>>,
 }
 
-impl Default for Pipeline {
-    fn default() -> Self {
-        Pipeline {
-            runs: Mutex::default(),
-            compiled: Mutex::default(),
-            counters: Counters::default(),
-            timings: Mutex::default(),
-            classify: AtomicBool::new(false),
-            engine: Mutex::default(),
-            block_stats: Mutex::default(),
-            trace: Mutex::new(None),
-        }
-    }
-}
-
 impl Pipeline {
-    /// Creates an empty pipeline cache.
+    /// An empty pipeline simulating under the default
+    /// [`Engine::Block`], without miss classification.
     #[must_use]
     pub fn new() -> Self {
         Pipeline::default()
     }
 
-    /// Enables miss classification (compulsory/capacity/conflict and
-    /// per-set histograms) on every simulation this pipeline computes
-    /// *from now on*. Set it before the first [`Pipeline::run`]:
-    /// memoized entries keep whatever setting they were computed
-    /// under. Classification never changes hit/miss counts, so table
-    /// output is identical either way.
-    pub fn set_classify_misses(&self, on: bool) {
-        self.classify.store(on, Ordering::Relaxed);
+    /// An empty pipeline whose every simulation runs under `engine`
+    /// and, with `classify_misses`, classifies each miss
+    /// (compulsory/capacity/conflict and per-set histograms). Both
+    /// engines and both settings produce identical hit/miss counts,
+    /// so table output is the same under all four.
+    #[must_use]
+    pub fn with_config(engine: Engine, classify_misses: bool) -> Self {
+        Pipeline {
+            engine,
+            classify: classify_misses,
+            ..Pipeline::default()
+        }
     }
 
-    /// Selects the simulator engine for every simulation this pipeline
-    /// computes *from now on* (memoized entries keep the engine they
-    /// were computed under — both produce identical results, so mixing
-    /// is safe). Defaults to [`Engine::Block`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine lock is poisoned.
-    pub fn set_engine(&self, engine: Engine) {
-        *self.engine.lock().expect("engine lock") = engine;
-    }
-
-    /// The engine new simulations run under.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the engine lock is poisoned.
+    /// The engine every simulation runs under.
     #[must_use]
     pub fn engine(&self) -> Engine {
-        *self.engine.lock().expect("engine lock")
+        self.engine
     }
 
     /// Attaches a span collector that receives a timestamped span for
@@ -286,14 +279,13 @@ impl Pipeline {
         self.trace.lock().expect("trace lock").clone()
     }
 
-    /// Runs (or returns the memoized run of) one configuration.
+    /// Runs (or returns the memoized run of) one paper configuration:
+    /// [`Pipeline::run_spec`] under the default memory system, with
+    /// every load a prefetch trigger and no reuse measurement.
     ///
     /// # Panics
     ///
-    /// Panics if the benchmark fails to compile or traps during
-    /// simulation — both indicate bugs in the bundled workloads and
-    /// are covered by tests. A panic leaves the entry empty, so a
-    /// concurrent waiter simulates it instead of deadlocking.
+    /// As [`Pipeline::run_spec`].
     #[must_use]
     pub fn run(
         &self,
@@ -302,14 +294,13 @@ impl Pipeline {
         input_set: u8,
         cache: CacheConfig,
     ) -> Arc<BenchRun> {
-        self.run_mem(bench, opt, input_set, cache, MemoryConfig::default())
+        self.run_spec(&RunSpec::new(bench.clone(), opt, input_set, cache))
     }
 
-    /// Runs (or returns the memoized run of) one configuration under an
-    /// explicit memory system — replacement policy, optional L2, and
-    /// stride prefetcher. [`Pipeline::run`] is this with the default
-    /// (LRU, L1-only, no prefetch), so the memmatrix sweep shares the
-    /// memo table — and the compile cache — with every other table.
+    /// Runs (or returns the memoized run of) one configuration — the
+    /// one way the experiments simulate, so every simulation the
+    /// tables trigger shares the memo table, the compile cache and the
+    /// counters.
     ///
     /// # Panics
     ///
@@ -318,20 +309,12 @@ impl Pipeline {
     /// are covered by tests. A panic leaves the entry empty, so a
     /// concurrent waiter simulates it instead of deadlocking.
     #[must_use]
-    pub fn run_mem(
-        &self,
-        bench: &Benchmark,
-        opt: OptLevel,
-        input_set: u8,
-        cache: CacheConfig,
-        memory: MemoryConfig,
-    ) -> Arc<BenchRun> {
-        let key: Key = (bench.name.to_owned(), opt, input_set, cache, memory);
+    pub fn run_spec(&self, spec: &RunSpec) -> Arc<BenchRun> {
         let slot = Arc::clone(
             self.runs
                 .lock()
                 .expect("pipeline lock")
-                .entry(key)
+                .entry(spec.clone())
                 .or_default(),
         );
         if let Some(run) = slot.get() {
@@ -344,7 +327,7 @@ impl Pipeline {
         let run = slot.get_or_init(|| {
             computed = true;
             self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.compute(bench, opt, input_set, cache, memory))
+            Arc::new(self.compute(spec))
         });
         if !computed {
             self.counters.waits.fetch_add(1, Ordering::Relaxed);
@@ -402,37 +385,49 @@ impl Pipeline {
         (entry.clone(), secs)
     }
 
-    /// The uncached compile → analyze → simulate path.
-    fn compute(
-        &self,
-        bench: &Benchmark,
-        opt: OptLevel,
-        input_set: u8,
-        cache: CacheConfig,
-        memory: MemoryConfig,
-    ) -> BenchRun {
-        let (compiled, compile_secs) = self.compiled_for(bench, opt);
-        let config = RunConfig {
+    /// The uncached compile → analyze → simulate path, and the only
+    /// place the experiments build a [`RunConfig`].
+    fn compute(&self, spec: &RunSpec) -> BenchRun {
+        let RunSpec {
+            bench,
+            opt,
+            input_set,
             cache,
             memory,
-            input: bench.input(input_set).to_vec(),
-            classify_misses: self.classify.load(Ordering::Relaxed),
-            engine: self.engine(),
+            prefetch_sites,
+            reuse,
+        } = spec;
+        let (compiled, compile_secs) = self.compiled_for(bench, *opt);
+        let config = RunConfig {
+            cache: *cache,
+            memory: *memory,
+            input: bench.input(*input_set).to_vec(),
+            prefetch_sites: prefetch_sites.clone(),
+            classify_misses: self.classify,
+            reuse_profile: *reuse,
+            engine: self.engine,
             ..RunConfig::default()
         };
         let sim_start = Instant::now();
-        let (result, block_stats) = run_with_stats(compiled.program(), &config)
+        let out = run_full(compiled.program(), &config)
             .unwrap_or_else(|e| panic!("{} trapped at {opt}: {e}", bench.name));
         let sim_secs = sim_start.elapsed().as_secs_f64();
+        let timing = ConfigTiming {
+            bench: bench.name.to_owned(),
+            opt: *opt,
+            input_set: *input_set,
+            cache: *cache,
+            memory: *memory,
+            sites: prefetch_sites.as_ref().map(Vec::len),
+            reuse: *reuse,
+            compile_secs,
+            sim_secs,
+            instructions: out.result.instructions,
+        };
         if let Some(spans) = self.trace_spans() {
-            let mut label = format!("sim/{}/{opt}/in{input_set}/{cache}", bench.name);
-            if !memory.is_default() {
-                label.push('/');
-                label.push_str(&memory.to_string());
-            }
-            spans.record_at(&label, sim_start, sim_secs);
+            spans.record_at(&format!("sim/{}", timing.label()), sim_start, sim_secs);
         }
-        if let Some(stats) = block_stats {
+        if let Some(stats) = out.block_stats {
             self.block_stats
                 .lock()
                 .expect("block stats lock")
@@ -440,25 +435,13 @@ impl Pipeline {
         }
         self.counters
             .sim_instructions
-            .fetch_add(result.instructions, Ordering::Relaxed);
-        self.timings
-            .lock()
-            .expect("timing lock")
-            .push(ConfigTiming {
-                bench: bench.name.to_owned(),
-                opt,
-                input_set,
-                cache,
-                memory,
-                compile_secs,
-                sim_secs,
-                instructions: result.instructions,
-            });
+            .fetch_add(out.result.instructions, Ordering::Relaxed);
+        self.timings.lock().expect("timing lock").push(timing);
         BenchRun {
-            name: bench.name.to_owned(),
-            ctx: compiled.with_profile(&result.exec_counts),
-            input: config.input,
-            result,
+            spec: spec.clone(),
+            ctx: compiled.with_profile(&out.result.exec_counts),
+            result: out.result,
+            reuse: out.reuse,
         }
     }
 
@@ -606,8 +589,7 @@ mod tests {
 
     #[test]
     fn classification_flows_into_results() {
-        let p = Pipeline::new();
-        p.set_classify_misses(true);
+        let p = Pipeline::with_config(Engine::default(), true);
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
         let r = p.run(&b, OptLevel::O0, 1, CacheConfig::paper_training());
@@ -686,35 +668,87 @@ mod tests {
         b.input1 = vec![500, 2];
         let cache = CacheConfig::paper_training();
         let base = p.run(&b, OptLevel::O0, 1, cache);
-        // run() is run_mem() under the default memory system: same entry.
-        let same = p.run_mem(&b, OptLevel::O0, 1, cache, MemoryConfig::default());
+        // run() is run_spec() under the default memory system, with no
+        // site filter and no reuse measurement: the same entry.
+        let same = p.run_spec(base.spec());
         assert!(Arc::ptr_eq(&base, &same));
         assert_eq!(p.simulations(), 1);
-        // A different policy or prefetcher is a distinct simulation —
-        // but still the same compilation.
-        let plru = MemoryConfig {
-            policy: Policy::Plru,
+        // A different policy, prefetcher, site list or reuse setting is
+        // a distinct simulation — but still the same compilation.
+        let nl1 = MemoryConfig {
+            prefetch: Some(Prefetch::NextLine(1)),
             ..MemoryConfig::default()
         };
-        let pf = MemoryConfig {
-            prefetch: Some(Prefetch::Stride(2)),
-            ..MemoryConfig::default()
-        };
-        let r_plru = p.run_mem(&b, OptLevel::O0, 1, cache, plru);
-        let r_pf = p.run_mem(&b, OptLevel::O0, 1, cache, pf);
-        assert!(!Arc::ptr_eq(&base, &r_plru));
-        assert!(!Arc::ptr_eq(&base, &r_pf));
-        assert_eq!(p.simulations(), 3);
+        let sites = base.load_indices()[..2].to_vec();
+        let variants = [
+            RunSpec {
+                memory: MemoryConfig {
+                    policy: Policy::Plru,
+                    ..MemoryConfig::default()
+                },
+                ..base.spec().clone()
+            },
+            RunSpec {
+                memory: MemoryConfig {
+                    prefetch: Some(Prefetch::Stride(2)),
+                    ..MemoryConfig::default()
+                },
+                ..base.spec().clone()
+            },
+            RunSpec {
+                memory: nl1,
+                ..base.spec().clone()
+            },
+            RunSpec {
+                memory: nl1,
+                prefetch_sites: Some(sites.clone()),
+                ..base.spec().clone()
+            },
+            RunSpec {
+                memory: nl1,
+                prefetch_sites: Some(sites[..1].to_vec()),
+                ..base.spec().clone()
+            },
+            RunSpec {
+                reuse: true,
+                ..base.spec().clone()
+            },
+        ];
+        for spec in &variants {
+            let run = p.run_spec(spec);
+            assert!(!Arc::ptr_eq(&base, &run), "{spec:?} hit the base entry");
+            assert_eq!(run.spec(), spec);
+        }
+        assert_eq!(p.simulations(), 1 + variants.len());
         assert_eq!(p.stats().compile_misses, 1);
+        // The same site list is the same entry.
+        let filtered = RunSpec {
+            memory: nl1,
+            prefetch_sites: Some(sites),
+            ..base.spec().clone()
+        };
+        let _ = p.run_spec(&filtered);
+        assert_eq!(p.simulations(), 1 + variants.len());
+        // Only the reuse run measured reuse distances.
+        assert!(base.reuse.is_none());
+        assert!(p.run_spec(&variants[5]).reuse.is_some());
         // Default-memory labels stay byte-identical to the pre-matrix
-        // format; non-default ones grow a memory segment.
-        let timings = p.config_timings();
-        assert!(timings
-            .iter()
-            .any(|t| t.memory.is_default() && !t.label().contains("lru")));
-        assert!(timings
-            .iter()
-            .any(|t| t.label().ends_with("/plru") || t.label().ends_with("/pf2")));
+        // format; the others name what sets them apart.
+        let labels: Vec<String> = p.config_timings().iter().map(ConfigTiming::label).collect();
+        assert_eq!(labels[0], "197.parser/O0/in1/32KB 4-way 32B-block");
+        for tail in [
+            "/plru",
+            "/lru+pf2",
+            "/lru+nl1",
+            "/lru+nl1/2-sites",
+            "/lru+nl1/1-sites",
+        ] {
+            assert!(
+                labels.iter().any(|l| l.ends_with(tail)),
+                "no label ends {tail}"
+            );
+        }
+        assert!(labels.contains(&format!("{}/reuse", labels[0])));
     }
 
     #[test]

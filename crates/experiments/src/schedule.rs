@@ -7,9 +7,11 @@
 //! only populate the memo table, so the rendered output is
 //! byte-identical to a fully sequential run regardless of the worker
 //! count or completion order. In-flight deduplication inside
-//! [`Pipeline::run`] guarantees that overlapping specs (most tables
-//! share configurations) still simulate exactly once.
+//! [`Pipeline::run_spec`] guarantees that overlapping specs (most
+//! tables share configurations) still simulate exactly once.
 
+use std::collections::HashSet;
+use std::hash::{Hash, Hasher};
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -20,7 +22,12 @@ use dl_workloads::Benchmark;
 
 use crate::pipeline::Pipeline;
 
-/// One simulation configuration a table needs: the full memo key.
+/// One simulation configuration: the pipeline's memo key.
+///
+/// Two specs are the same run when every field but the benchmark
+/// matches and the benchmarks share a name: the name stands for the
+/// source and inputs, so a table asking for the full-size workload
+/// hits the entry `repro --smoke` warmed with its shrunk copy.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     /// The workload to compile and simulate.
@@ -33,19 +40,68 @@ pub struct RunSpec {
     pub cache: CacheConfig,
     /// Memory system (replacement policy / L2 / prefetcher). The
     /// default — LRU, L1-only, no prefetch — for every paper table;
-    /// only the memmatrix sweep varies it.
+    /// only the memmatrix sweep and the prefetch extension vary it.
     pub memory: MemoryConfig,
+    /// Instruction indices of the loads that trigger the prefetcher
+    /// (`RunConfig::prefetch_sites`); `None` lets every load trigger.
+    /// Only `extension-prefetch` sets it, from a base run's profile.
+    pub prefetch_sites: Option<Vec<usize>>,
+    /// Measure per-site reuse distances on a shadow LRU stack
+    /// (`RunConfig::reuse_profile`) into [`crate::BenchRun::reuse`].
+    pub reuse: bool,
 }
 
 impl RunSpec {
-    fn key(&self) -> (String, OptLevel, u8, CacheConfig, MemoryConfig) {
+    /// A spec under the default memory system, with every load a
+    /// prefetch trigger and no reuse measurement.
+    #[must_use]
+    pub fn new(bench: Benchmark, opt: OptLevel, input_set: u8, cache: CacheConfig) -> Self {
+        RunSpec {
+            bench,
+            opt,
+            input_set,
+            cache,
+            memory: MemoryConfig::default(),
+            prefetch_sites: None,
+            reuse: false,
+        }
+    }
+
+    /// The fields that identify the run (see the type docs).
+    fn id(
+        &self,
+    ) -> (
+        &str,
+        OptLevel,
+        u8,
+        CacheConfig,
+        MemoryConfig,
+        Option<&[usize]>,
+        bool,
+    ) {
         (
-            self.bench.name.to_owned(),
+            self.bench.name,
             self.opt,
             self.input_set,
             self.cache,
             self.memory,
+            self.prefetch_sites.as_deref(),
+            self.reuse,
         )
+    }
+}
+
+impl PartialEq for RunSpec {
+    fn eq(&self, other: &Self) -> bool {
+        self.id() == other.id()
+    }
+}
+
+impl Eq for RunSpec {}
+
+impl Hash for RunSpec {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.id().hash(state);
     }
 }
 
@@ -57,13 +113,7 @@ fn specs(
 ) -> Vec<RunSpec> {
     benches
         .into_iter()
-        .map(|bench| RunSpec {
-            bench,
-            opt,
-            input_set,
-            cache,
-            memory: MemoryConfig::default(),
-        })
+        .map(|bench| RunSpec::new(bench, opt, input_set, cache))
         .collect()
 }
 
@@ -72,7 +122,10 @@ fn specs(
 /// yield an empty list — prewarming simply does nothing for them.
 ///
 /// This mirrors the `p.run(...)` calls in [`crate::tables`]; the
-/// `specs_cover_every_table` test pins the two in sync.
+/// `specs_cover_every_table` test pins the two in sync. The one
+/// exception is `extension-prefetch`'s site-filtered runs: their sites
+/// come from the base run's execution counts, so they join the memo
+/// when the table renders.
 #[must_use]
 pub fn table_specs(table: &str) -> Vec<RunSpec> {
     let o0 = OptLevel::O0;
@@ -130,11 +183,8 @@ pub fn table_specs(table: &str) -> Vec<RunSpec> {
                 .into_iter()
                 .flat_map(|memory| {
                     benches.iter().cloned().map(move |bench| RunSpec {
-                        bench,
-                        opt: o0,
-                        input_set: 1,
-                        cache: baseline,
                         memory,
+                        ..RunSpec::new(bench, o0, 1, baseline)
                     })
                 })
                 .collect()
@@ -145,6 +195,15 @@ pub fn table_specs(table: &str) -> Vec<RunSpec> {
                 .map(|n| dl_workloads::by_name(n).expect("known benchmark"))
                 .collect();
             let mut v = specs(benches.clone(), o0, 1, baseline);
+            // One shadow-LRU reuse measurement per benchmark.
+            v.extend(
+                specs(benches.clone(), o0, 1, baseline)
+                    .into_iter()
+                    .map(|spec| RunSpec {
+                        reuse: true,
+                        ..spec
+                    }),
+            );
             for kb in [8u32, 16, 64] {
                 for assoc in [2u32, 4, 8] {
                     v.extend(specs(benches.clone(), o0, 1, CacheConfig::kb(kb, assoc)));
@@ -160,16 +219,14 @@ pub fn table_specs(table: &str) -> Vec<RunSpec> {
 /// first-seen order.
 #[must_use]
 pub fn union_specs<'a>(tables: impl IntoIterator<Item = &'a str>) -> Vec<RunSpec> {
-    let mut seen = std::collections::HashSet::new();
-    let mut union = Vec::new();
-    for table in tables {
-        for spec in table_specs(table) {
-            if seen.insert(spec.key()) {
-                union.push(spec);
-            }
-        }
-    }
-    union
+    let specs: Vec<RunSpec> = tables.into_iter().flat_map(table_specs).collect();
+    let mut seen = HashSet::new();
+    let first: Vec<bool> = specs.iter().map(|spec| seen.insert(spec)).collect();
+    specs
+        .into_iter()
+        .zip(first)
+        .filter_map(|(spec, first)| first.then_some(spec))
+        .collect()
 }
 
 /// The default worker count: available hardware parallelism, or 1 if
@@ -186,7 +243,7 @@ pub struct WorkerStat {
     pub worker: usize,
     /// Specs this worker processed.
     pub specs: u64,
-    /// Seconds this worker spent inside [`Pipeline::run`] (simulating,
+    /// Seconds this worker spent inside [`Pipeline::run_spec`] (simulating,
     /// or blocked on another worker's in-flight computation).
     pub busy_secs: f64,
 }
@@ -229,7 +286,7 @@ impl PrewarmReport {
 /// # Panics
 ///
 /// Propagates a panic from any worker (a benchmark failing to compile
-/// or trapping — the same conditions that panic [`Pipeline::run`]).
+/// or trapping — the same conditions that panic [`Pipeline::run_spec`]).
 pub fn prewarm(pipeline: &Pipeline, specs: &[RunSpec], jobs: usize) -> usize {
     prewarm_with_stats(pipeline, specs, jobs).processed
 }
@@ -246,13 +303,7 @@ pub fn prewarm_with_stats(pipeline: &Pipeline, specs: &[RunSpec], jobs: usize) -
     if jobs <= 1 || specs.len() <= 1 {
         let start = Instant::now();
         for spec in specs {
-            let _ = pipeline.run_mem(
-                &spec.bench,
-                spec.opt,
-                spec.input_set,
-                spec.cache,
-                spec.memory,
-            );
+            let _ = pipeline.run_spec(spec);
         }
         return PrewarmReport {
             processed: specs.len(),
@@ -281,13 +332,7 @@ pub fn prewarm_with_stats(pipeline: &Pipeline, specs: &[RunSpec], jobs: usize) -
                             break stat;
                         };
                         let start = Instant::now();
-                        let _ = pipeline.run_mem(
-                            &spec.bench,
-                            spec.opt,
-                            spec.input_set,
-                            spec.cache,
-                            spec.memory,
-                        );
+                        let _ = pipeline.run_spec(spec);
                         stat.specs += 1;
                         stat.busy_secs += start.elapsed().as_secs_f64();
                     }
@@ -315,9 +360,10 @@ mod tests {
     use super::*;
     use crate::tables::all_tables;
 
-    /// Prewarming a table's specs then generating it must add zero new
-    /// simulations — i.e. the spec registry covers everything each
-    /// table asks the pipeline for.
+    /// Prewarming a table's specs then generating it must add no new
+    /// simulation but `extension-prefetch`'s site-filtered runs — i.e.
+    /// the spec registry covers everything else each table asks the
+    /// pipeline for.
     ///
     /// Runs on shrunk inputs to keep it fast: the spec registry only
     /// depends on names/opt/input/cache, not input values.
@@ -331,13 +377,16 @@ mod tests {
             }
             prewarm(&pipeline, &specs, 1);
             let warmed = pipeline.simulations();
-            // The memo key is (name, opt, input-set, cache) — not the
-            // input *values* — so the generator hits the shrunk
-            // prewarmed entries and must simulate nothing new.
+            // The memo key names the benchmark, not its input *values*,
+            // so the generator hits the shrunk prewarmed entries.
             let _ = f(&pipeline);
+            let unfiltered = pipeline
+                .ready_runs()
+                .iter()
+                .filter(|run| run.spec().prefetch_sites.is_none())
+                .count();
             assert_eq!(
-                pipeline.simulations(),
-                warmed,
+                unfiltered, warmed,
                 "{name} simulated configurations its spec registry misses"
             );
         }
@@ -349,7 +398,7 @@ mod tests {
         let union = union_specs(["table1", "table2", "table14"]);
         // All three tables need exactly the same configurations.
         assert_eq!(union.len(), table_specs("table1").len());
-        let keys: std::collections::HashSet<_> = union.iter().map(RunSpec::key).collect();
+        let keys: HashSet<&RunSpec> = union.iter().collect();
         assert_eq!(keys.len(), union.len());
     }
 

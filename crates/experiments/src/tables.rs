@@ -22,6 +22,7 @@ use dl_workloads::Benchmark;
 use crate::metrics::{ideal_set, pct, pi, profiling_set, random_control, rho, xi};
 use crate::pipeline::{BenchRun, Pipeline};
 use crate::report::Table;
+use crate::schedule::RunSpec;
 
 /// Fraction of executed instructions the hot-block profile covers
 /// (the paper's "90% of the total compute cycles").
@@ -874,7 +875,6 @@ pub fn ablation_delta_tuning(p: &Pipeline) -> Table {
 /// issued) it pays.
 #[must_use]
 pub fn extension_prefetch(p: &Pipeline) -> Table {
-    use dl_sim::{run as simulate, RunConfig};
     let h = Heuristic::default();
     let mut t = Table::new(
         "extension-prefetch",
@@ -912,22 +912,21 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
             (2, base.load_indices()),
         ];
         for (slot, sites) in policies {
-            let config = RunConfig {
-                cache: CacheConfig::paper_baseline(),
+            accs[slot].pis.push(pi(sites.len(), base.lambda()));
+            // The sites come from the base run's profile, so the run
+            // derives from its spec (and keeps its input).
+            let run = p.run_spec(&RunSpec {
                 memory: MemoryConfig {
                     prefetch: Some(Prefetch::NextLine(1)),
                     ..MemoryConfig::default()
                 },
-                input: base.input().to_vec(),
-                prefetch_sites: Some(sites.clone()),
-                engine: p.engine(),
-                ..RunConfig::default()
-            };
-            let result = simulate(base.program(), &config).expect("benchmark runs");
+                prefetch_sites: Some(sites),
+                ..base.spec().clone()
+            });
+            let result = &run.result;
             let before = base.result.load_misses_total;
             let after = result.load_misses_total;
             let removed = before.saturating_sub(after);
-            accs[slot].pis.push(pi(sites.len(), base.lambda()));
             accs[slot]
                 .reductions
                 .push(removed as f64 / before.max(1) as f64);
@@ -1103,7 +1102,6 @@ pub fn extension_profile(p: &Pipeline) -> Table {
 /// miss ratio of a real simulation at that geometry.
 #[must_use]
 pub fn profile_geometries(p: &Pipeline) -> Table {
-    use dl_sim::{run_full as simulate_full, RunConfig};
     let mut t = Table::new(
         "profile-geometries",
         "static vs measured reuse-distance miss ratios across 9 geometries",
@@ -1118,30 +1116,15 @@ pub fn profile_geometries(p: &Pipeline) -> Table {
     // The canonical behaviours (chase, gather, stream, mixed) keep
     // the table fast; the 18-workload validation test covers the rest.
     let names = ["181.mcf", "183.equake", "179.art", "164.gzip"];
-    struct BenchData {
-        profiles: dl_analysis::ReuseProfiles,
-        measured: dl_sim::ReuseMeasurement,
-    }
-    let data: Vec<(String, BenchData)> = names
+    let shadows: Vec<Arc<BenchRun>> = names
         .iter()
         .map(|name| {
             let bench = dl_workloads::by_name(name).expect("known benchmark");
-            let run = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
-            let config = RunConfig {
-                cache: CacheConfig::paper_baseline(),
-                input: run.input().to_vec(),
-                reuse_profile: true,
-                engine: p.engine(),
-                ..RunConfig::default()
-            };
-            let out = simulate_full(run.program(), &config).expect("benchmark runs");
-            (
-                (*name).to_owned(),
-                BenchData {
-                    profiles: run.ctx().reuse_profiles().clone(),
-                    measured: out.reuse.expect("reuse measurement collected"),
-                },
-            )
+            let base = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
+            p.run_spec(&RunSpec {
+                reuse: true,
+                ..base.spec().clone()
+            })
         })
         .collect();
     for kb in [8u32, 16, 64] {
@@ -1149,20 +1132,25 @@ pub fn profile_geometries(p: &Pipeline) -> Table {
             let cap_blocks = u64::from(kb) * 1024 / 32;
             let geometry = CacheGeometry::new(u64::from(kb) * 1024, 32, assoc);
             let (mut stat, mut shadow, mut sim, mut err) = (vec![], vec![], vec![], vec![]);
-            for (name, d) in &data {
-                let bench = dl_workloads::by_name(name).expect("known benchmark");
-                let real = p.run(&bench, OptLevel::O0, 1, CacheConfig::kb(kb, assoc));
+            for run in &shadows {
+                let measured = run.reuse.as_ref().expect("reuse measurement collected");
+                let real = p.run(
+                    &run.spec().bench,
+                    OptLevel::O0,
+                    1,
+                    CacheConfig::kb(kb, assoc),
+                );
                 sim.push(real.result.load_misses_total as f64 / real.result.loads.max(1) as f64);
-                shadow.push(d.measured.aggregate_miss_ratio(cap_blocks));
+                shadow.push(measured.aggregate_miss_ratio(cap_blocks));
                 // Static per-load ratios, weighted by the measured
                 // access counts so both aggregates use one scale;
                 // abstained loads are excluded from both sides.
                 let (mut s_num, mut e_num, mut den) = (0.0f64, 0.0f64, 0u64);
-                for pred in d.profiles.predict(&geometry) {
+                for pred in run.ctx().reuse_profiles().predict(&geometry) {
                     if pred.abstained {
                         continue;
                     }
-                    let site = d.measured.site(pred.index);
+                    let site = measured.site(pred.index);
                     let n = site.total();
                     if n == 0 {
                         continue;
@@ -1301,7 +1289,7 @@ pub fn extension_memmatrix(p: &Pipeline) -> Table {
     let preds: [&dyn Predictor; 7] = [&h, &Okn, &Bdh, &reuse, &profile, &inter, &union];
     let baseline_runs: Vec<Arc<BenchRun>> = benches
         .iter()
-        .map(|b| p.run_mem(b, OptLevel::O0, 1, cache, MemoryConfig::default()))
+        .map(|b| p.run(b, OptLevel::O0, 1, cache))
         .collect();
     let sets: Vec<Vec<Vec<usize>>> = baseline_runs
         .iter()
@@ -1314,7 +1302,10 @@ pub fn extension_memmatrix(p: &Pipeline) -> Table {
         let mut rhos: Vec<Vec<f64>> = vec![vec![]; preds.len()];
         let mut moved = 0usize;
         for (bi, b) in benches.iter().enumerate() {
-            let run = p.run_mem(b, OptLevel::O0, 1, cache, memory);
+            let run = p.run_spec(&RunSpec {
+                memory,
+                ..RunSpec::new(b.clone(), OptLevel::O0, 1, cache)
+            });
             miss.push(run.result.load_misses_total as f64 / run.result.loads.max(1) as f64);
             let would_miss = run.result.dcache_misses + run.result.prefetch_useful;
             hidden.push(run.result.prefetch_useful as f64 / would_miss.max(1) as f64);
@@ -1462,8 +1453,11 @@ mod tests {
         };
         let shifted = memmatrix_benches().into_iter().any(|name| {
             let b = dl_workloads::by_name(name).expect("known benchmark");
-            let base = p.run_mem(&b, OptLevel::O0, 1, cache, MemoryConfig::default());
-            let with_pf = p.run_mem(&b, OptLevel::O0, 1, cache, pf);
+            let base = p.run(&b, OptLevel::O0, 1, cache);
+            let with_pf = p.run_spec(&RunSpec {
+                memory: pf,
+                ..base.spec().clone()
+            });
             assert!(
                 with_pf.result.prefetch_fills > 0,
                 "{name}: prefetcher never fired"
@@ -1478,83 +1472,50 @@ mod tests {
 
     /// A pipeline prewarmed like `repro --smoke` on `jobs` workers:
     /// every spec of `table` with its inputs clamped small.
-    fn smoke_pipeline(table: &str, jobs: usize) -> (Pipeline, Vec<crate::schedule::RunSpec>) {
+    fn smoke_pipeline(table: &str, jobs: usize) -> Pipeline {
         let p = Pipeline::new();
         let mut specs = crate::schedule::table_specs(table);
         for spec in &mut specs {
             spec.bench = spec.bench.smoke();
         }
         crate::schedule::prewarm(&p, &specs, jobs);
-        (p, specs)
+        p
     }
 
-    /// The prefetch runs bypass the memo, so they must take the input
-    /// of the memoized base run they are compared with: after a shrunk
-    /// prewarm, the `all loads` row equals two direct runs per
-    /// benchmark on the shrunk input.
+    /// The runs derived from a memoized run (the site-filtered prefetch
+    /// runs, the shadow-LRU runs) take its spec, input included: after
+    /// a smoke prewarm, rendering either table leaves every memo entry
+    /// on the shrunk input, and adds only the prefetch runs, whose
+    /// sites no spec registry can know before the base run.
     #[test]
-    fn prefetch_runs_use_the_memoized_input() {
-        let (p, specs) = smoke_pipeline("extension-prefetch", 1);
-        let table = extension_prefetch(&p);
-        let row = table
-            .rows
-            .iter()
-            .find(|r| r[0] == "all loads")
-            .expect("all-loads row");
-        let (mut reductions, mut issued, mut removed) = (vec![], 0u64, 0u64);
-        for spec in &specs {
-            let sites = p.run(&spec.bench, spec.opt, 1, spec.cache).load_indices();
-            let program = spec.bench.compile(spec.opt).expect("compiles");
-            let mut config = dl_sim::RunConfig {
-                cache: spec.cache,
-                input: spec.bench.input1.clone(),
-                ..dl_sim::RunConfig::default()
-            };
-            let before = dl_sim::run(&program, &config).expect("runs");
-            config.memory.prefetch = Some(Prefetch::NextLine(1));
-            config.prefetch_sites = Some(sites);
-            let after = dl_sim::run(&program, &config).expect("runs");
-            let gone = before
-                .load_misses_total
-                .saturating_sub(after.load_misses_total);
-            reductions.push(gone as f64 / before.load_misses_total.max(1) as f64);
-            issued += after.prefetches_issued;
-            removed += gone;
-        }
-        assert_eq!(reductions.len(), 4);
-        assert_eq!(row[2], pct(avg(&reductions), 1));
-        assert_eq!(
-            row[3],
-            format!("{:.1}", issued as f64 / removed.max(1) as f64)
-        );
-    }
-
-    /// Likewise for the shadow-LRU runs of `profile-geometries`: its
-    /// 8 KiB `shadow-LRU miss` cell equals direct measurements on the
-    /// shrunk inputs of the memoized runs.
-    #[test]
-    fn shadow_runs_use_the_memoized_input() {
-        let (p, specs) = smoke_pipeline("profile-geometries", 1);
-        let table = profile_geometries(&p);
-        let mut ratios = vec![];
-        for name in ["181.mcf", "183.equake", "179.art", "164.gzip"] {
-            let spec = specs
+    fn derived_runs_keep_the_memoized_input() {
+        for (table, render, derived) in [
+            ("extension-prefetch", extension_prefetch as TableFn, 12),
+            ("profile-geometries", profile_geometries, 0),
+        ] {
+            let p = smoke_pipeline(table, 1);
+            let warmed = p.simulations();
+            let _ = render(&p);
+            let runs = p.ready_runs();
+            assert_eq!(runs.len(), warmed + derived, "{table}");
+            for run in &runs {
+                let spec = run.spec();
+                let smoke = dl_workloads::by_name(spec.bench.name)
+                    .expect("known benchmark")
+                    .smoke();
+                assert_eq!(
+                    spec.bench.input(spec.input_set),
+                    smoke.input(spec.input_set),
+                    "{table}: a {} run used the full-size input",
+                    spec.bench.name
+                );
+            }
+            let filtered = runs
                 .iter()
-                .find(|s| s.bench.name == name && s.cache == CacheConfig::paper_baseline())
-                .expect("baseline spec");
-            let program = spec.bench.compile(spec.opt).expect("compiles");
-            let config = dl_sim::RunConfig {
-                cache: spec.cache,
-                input: spec.bench.input1.clone(),
-                reuse_profile: true,
-                ..dl_sim::RunConfig::default()
-            };
-            let out = dl_sim::run_full(&program, &config).expect("runs");
-            let measured = out.reuse.expect("reuse measurement collected");
-            ratios.push(measured.aggregate_miss_ratio(8 * 1024 / 32));
+                .filter(|run| run.spec().prefetch_sites.is_some())
+                .count();
+            assert_eq!(filtered, derived, "{table}");
         }
-        assert_eq!(table.rows[0][0], "8KB/2-way");
-        assert_eq!(table.rows[0][2], pct(avg(&ratios), 2));
     }
 
     /// Two fresh pipelines must render byte-identical memmatrix tables:
@@ -1565,7 +1526,7 @@ mod tests {
     #[test]
     fn memmatrix_table_is_deterministic() {
         let render = || {
-            let (p, _) = smoke_pipeline("extension-memmatrix", 4);
+            let p = smoke_pipeline("extension-memmatrix", 4);
             extension_memmatrix(&p).to_markdown()
         };
         let first = render();

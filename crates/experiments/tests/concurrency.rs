@@ -13,8 +13,8 @@ use dl_minic::OptLevel;
 use dl_sim::CacheConfig;
 
 /// A table subset spanning both input sets and two cache geometries,
-/// excluding `extension-prefetch` (which simulates outside the
-/// pipeline and would dominate the test's runtime).
+/// excluding `extension-prefetch` (whose next-line prefetch runs would
+/// dominate the test's runtime).
 const SUBSET: &[&str] = &["table1", "table3", "table7"];
 
 /// Shrinks benchmark inputs so the test stays fast; the memo key

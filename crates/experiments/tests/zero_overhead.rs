@@ -42,12 +42,9 @@ enum Instrument {
 }
 
 fn render_instrumented(mode: Instrument, engine: Engine) -> String {
-    let pipeline = Pipeline::new();
-    pipeline.set_engine(engine);
-    match mode {
-        Instrument::Off => {}
-        Instrument::Classify => pipeline.set_classify_misses(true),
-        Instrument::Trace => pipeline.set_trace_spans(Arc::new(Spans::default())),
+    let pipeline = Pipeline::with_config(engine, matches!(mode, Instrument::Classify));
+    if matches!(mode, Instrument::Trace) {
+        pipeline.set_trace_spans(Arc::new(Spans::default()));
     }
     prewarm(&pipeline, &shrunk_specs(SUBSET), 2);
     experiments_doc(&pipeline, &subset_tables(), |_, _| {})
@@ -130,9 +127,7 @@ fn memmatrix_table_is_immune_to_instrumentation() {
         .collect();
     assert_eq!(memmatrix.len(), 1, "extension-memmatrix is registered");
     let render = |classify: bool, engine: Engine| {
-        let pipeline = Pipeline::new();
-        pipeline.set_engine(engine);
-        pipeline.set_classify_misses(classify);
+        let pipeline = Pipeline::with_config(engine, classify);
         prewarm(&pipeline, &shrunk_specs(&["extension-memmatrix"]), 2);
         experiments_doc(&pipeline, &memmatrix, |_, _| {})
     };
@@ -150,8 +145,7 @@ fn memmatrix_table_is_immune_to_instrumentation() {
 
 #[test]
 fn classification_attaches_profiles_without_extra_simulations() {
-    let pipeline = Pipeline::new();
-    pipeline.set_classify_misses(true);
+    let pipeline = Pipeline::with_config(Engine::default(), true);
     let specs = shrunk_specs(SUBSET);
     prewarm(&pipeline, &specs, 2);
     assert_eq!(pipeline.simulations(), specs.len());

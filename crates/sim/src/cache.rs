@@ -278,14 +278,6 @@ impl Repl {
             Repl::Random(r) => r.victim(assoc),
         }
     }
-
-    fn reset(&mut self, sets: usize, assoc: u32) {
-        match self {
-            Repl::Lru => {}
-            Repl::Plru(p) => *p = TreePlru::new(sets, assoc),
-            Repl::Random(r) => r.reset(),
-        }
-    }
 }
 
 /// A simulated data cache with write-allocate stores and pluggable
@@ -324,8 +316,6 @@ pub struct Cache {
     set_shift: u32,
     set_mask: u32,
     tag_shift: u32,
-    hits: u64,
-    misses: u64,
     repl: Repl,
     // Opt-in profiling (miss classes, per-set histograms). `profiling`
     // mirrors `profile.is_some()` so the hot path tests one bool.
@@ -351,8 +341,6 @@ impl Cache {
             set_shift: cfg.block_bytes().trailing_zeros(),
             set_mask: cfg.sets() - 1,
             tag_shift: (cfg.sets() - 1).count_ones(),
-            hits: 0,
-            misses: 0,
             repl: Repl::Lru,
             profiling: false,
             profile: None,
@@ -371,16 +359,6 @@ impl Cache {
             Policy::Random => Repl::Random(RandomEvict::new(seed)),
         };
         cache
-    }
-
-    /// The replacement policy this cache runs.
-    #[must_use]
-    pub fn policy(&self) -> Policy {
-        match self.repl {
-            Repl::Lru => Policy::Lru,
-            Repl::Plru(_) => Policy::Plru,
-            Repl::Random(_) => Policy::Random,
-        }
     }
 
     /// Enables miss classification and per-set histograms. Profiling
@@ -439,11 +417,7 @@ impl Cache {
     /// whose block number matches its set's entry is a hit that
     /// changes no replacement state, so the block engine's fast path
     /// answers it with one compare and skips [`Cache::access`]
-    /// entirely — leaving the aggregate `hits` counter behind. That is
-    /// sound because cache totals are not observable through a run
-    /// ([`crate::RunResult`] carries its own counters); direct users
-    /// of the public API always go through [`Cache::access`], which
-    /// counts every access.
+    /// entirely; [`crate::RunResult`] counts hits and misses itself.
     #[inline(always)]
     pub(crate) fn mru_blocks(&self) -> &[u64] {
         &self.mru
@@ -469,7 +443,6 @@ impl Cache {
         // Fast path: the MRU way already holds the block, so recency
         // state is already correct — one compare, no set walk.
         if self.mru[set as usize] == block {
-            self.hits += 1;
             if self.profiling {
                 self.profile_access(block, set, true);
             }
@@ -527,7 +500,6 @@ impl Cache {
             let w = order[p];
             order.copy_within(0..p, 1);
             order[0] = w;
-            self.hits += 1;
             return (true, None);
         }
         // Miss: evict the LRU way (the tail of the order). Untouched
@@ -538,7 +510,6 @@ impl Cache {
         order[0] = victim;
         let old = self.tags[base + victim as usize];
         self.tags[base + victim as usize] = tag;
-        self.misses += 1;
         (false, evicted_block(old, set, self.tag_shift))
     }
 
@@ -557,11 +528,9 @@ impl Cache {
         for way in 0..assoc {
             if self.tags[base + way] == tag {
                 self.repl.touch(set as usize, assoc, way);
-                self.hits += 1;
                 return (true, None);
             }
         }
-        self.misses += 1;
         let way = match (0..assoc).find(|&w| self.tags[base + w] == INVALID_TAG) {
             Some(w) => w,
             None => self.repl.victim(set as usize, assoc),
@@ -651,34 +620,6 @@ impl Cache {
             .then(|| evicted_block(old, set, self.tag_shift))
             .flatten()
     }
-
-    /// Total hits so far.
-    #[must_use]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Total misses so far.
-    #[must_use]
-    pub fn misses(&self) -> u64 {
-        self.misses
-    }
-
-    /// Invalidates all lines and resets counters.
-    pub fn reset(&mut self) {
-        self.tags.fill(INVALID_TAG);
-        self.mru.fill(INVALID_TAG);
-        let assoc = self.cfg.assoc as usize;
-        for (i, slot) in self.order.iter_mut().enumerate() {
-            *slot = (i % assoc) as u16;
-        }
-        self.hits = 0;
-        self.misses = 0;
-        self.repl.reset(self.cfg.sets() as usize, self.cfg.assoc());
-        if self.profiling {
-            self.profile = Some(Box::new(ProfileState::new(self.cfg)));
-        }
-    }
 }
 
 #[cfg(test)]
@@ -717,8 +658,6 @@ mod tests {
         assert!(c.access(0x2000_0000));
         assert!(c.access(0x2000_001f)); // same block
         assert!(!c.access(0x2000_0020)); // next block
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
     }
 
     #[test]
@@ -770,15 +709,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_state() {
-        let mut c = Cache::new(CacheConfig::kb(8, 4));
-        c.access(0x2000_0000);
-        c.reset();
-        assert_eq!(c.hits() + c.misses(), 0);
-        assert!(!c.access(0x2000_0000));
-    }
-
-    #[test]
     fn display_format() {
         assert_eq!(CacheConfig::kb(16, 8).to_string(), "16KB 8-way 32B-block");
     }
@@ -790,15 +720,16 @@ mod tests {
         let mut profiled = Cache::new(cfg);
         profiled.enable_profiling();
         let stride = cfg.sets() * cfg.block_bytes();
+        let mut misses = 0u64;
         for i in 0..2000u32 {
             let addr = 0x2000_0000 + (i % 7) * stride + (i % 97) * 4;
-            assert_eq!(plain.access(addr), profiled.access(addr), "access {i}");
+            let hit = plain.access(addr);
+            assert_eq!(hit, profiled.access(addr), "access {i}");
+            misses += u64::from(!hit);
         }
-        assert_eq!(plain.hits(), profiled.hits());
-        assert_eq!(plain.misses(), profiled.misses());
         let profile = profiled.take_profile().expect("profiling was on");
-        assert_eq!(profile.classes.total(), plain.misses());
-        assert_eq!(profile.set_misses.iter().sum::<u64>(), plain.misses());
+        assert_eq!(profile.classes.total(), misses);
+        assert_eq!(profile.set_misses.iter().sum::<u64>(), misses);
         assert_eq!(profile.set_accesses.iter().sum::<u64>(), 2000);
     }
 
@@ -858,32 +789,6 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_profile_but_keeps_profiling_enabled() {
-        let mut c = Cache::new(CacheConfig::kb(8, 4));
-        c.enable_profiling();
-        c.access(0x2000_0000);
-        c.reset();
-        assert!(!c.access(0x2000_0000)); // compulsory again after reset
-        let p = c.profile().unwrap();
-        assert_eq!(p.classes.compulsory, 1);
-        assert_eq!(p.set_accesses.iter().sum::<u64>(), 1);
-    }
-
-    #[test]
-    fn with_policy_reports_and_defaults() {
-        let cfg = CacheConfig::kb(8, 4);
-        assert_eq!(Cache::new(cfg).policy(), Policy::Lru);
-        assert_eq!(
-            Cache::with_policy(cfg, Policy::Plru, 0).policy(),
-            Policy::Plru
-        );
-        assert_eq!(
-            Cache::with_policy(cfg, Policy::Random, 7).policy(),
-            Policy::Random
-        );
-    }
-
-    #[test]
     fn every_policy_holds_a_set_sized_working_set() {
         // Any sane policy keeps a working set that exactly fills one
         // set resident across re-touches (no evictions ever needed).
@@ -929,8 +834,6 @@ mod tests {
             let addr = 0x2000_0000 + (i % 5) * stride + (i % 11) * 4;
             assert_eq!(x.access(addr), y.access(addr), "access {i}");
         }
-        assert_eq!(x.hits(), y.hits());
-        assert_eq!(x.misses(), y.misses());
     }
 
     #[test]

@@ -11,6 +11,7 @@ use dl_mips::inst::Inst;
 use dl_mips::layout::{self, GP_VALUE, STACK_TOP};
 use dl_mips::program::Program;
 use dl_mips::reg::Reg;
+use dl_testkit::Rng;
 
 use crate::block::{self, BlockCache, BlockStats, Engine};
 use crate::cache::CacheConfig;
@@ -177,7 +178,7 @@ pub struct Machine<'p> {
     pub(crate) halt_index: usize,
     pub(crate) mem: Memory,
     pub(crate) cache: MemorySystem,
-    rng: u64,
+    rng: Rng,
     input: VecDeque<i32>,
     pub(crate) result: RunResult,
     pub(crate) finished: Option<i32>,
@@ -221,7 +222,7 @@ impl<'p> Machine<'p> {
             halt_index,
             mem: Memory::new(&program.data),
             cache,
-            rng: config.seed | 1,
+            rng: Rng::new(config.seed),
             input: config.input.iter().copied().collect(),
             result,
             finished: None,
@@ -265,14 +266,10 @@ impl<'p> Machine<'p> {
         self.finished
     }
 
+    /// The `rand` syscall's raw draw: the top 31 bits of the seeded
+    /// xorshift64* stream.
     fn next_rand(&mut self) -> u32 {
-        // xorshift64*
-        let mut x = self.rng;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.rng = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as u32
+        (self.rng.next_u64() >> 33) as u32
     }
 
     /// Records a trace entry. Out of line: tracing is off in every

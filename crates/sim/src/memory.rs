@@ -308,7 +308,6 @@ impl TreePlru {
 #[derive(Debug, Clone)]
 pub(crate) struct RandomEvict {
     rng: Rng,
-    seed: u64,
 }
 
 impl RandomEvict {
@@ -316,13 +315,7 @@ impl RandomEvict {
     pub(crate) fn new(seed: u64) -> Self {
         RandomEvict {
             rng: Rng::new(seed),
-            seed,
         }
-    }
-
-    /// Rewinds the PRNG to its initial seed (cache reset).
-    pub(crate) fn reset(&mut self) {
-        self.rng = Rng::new(self.seed);
     }
 
     /// Draws the way to evict from a set of `assoc` ways.
@@ -776,9 +769,6 @@ mod tests {
         let sb: Vec<usize> = (0..32).map(|_| b.victim(4)).collect();
         assert_eq!(sa, sb);
         assert!(sa.iter().all(|&w| w < 4));
-        a.reset();
-        let again: Vec<usize> = (0..32).map(|_| a.victim(4)).collect();
-        assert_eq!(again, sa);
     }
 
     #[test]

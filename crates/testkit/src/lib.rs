@@ -26,9 +26,10 @@ pub mod progen;
 
 /// A deterministic xorshift64* generator.
 ///
-/// The same recurrence as the simulator's `rand` syscall
-/// (`crates/sim/src/cpu.rs`), so its statistical behaviour is already
-/// trusted in-tree. Never use for anything but tests and controls.
+/// Besides the tests and the random controls, the simulator draws
+/// from it: its `rand` syscall and its random replacement policy. A
+/// fixed seed gives a fixed stream, so every use is reproducible;
+/// it is not a cryptographic generator.
 #[derive(Debug, Clone)]
 pub struct Rng(u64);
 
