@@ -205,6 +205,13 @@ def zero(value, timing):
 step, block = (json.load(open(f"/tmp/ci_{run}_manifest.json")) for run in ("step", "block"))
 assert step["sim"]["engine"] == "step", f"the step oracle ran under {step['sim']['engine']}"
 assert block["sim"]["engine"] == "block", f"the block run ran under {block['sim']['engine']}"
+# Execute once, model many: the 229 configurations take 55 engine runs,
+# one per planned execution (43) plus extension-prefetch's 12
+# site-filtered runs.
+for doc in (step, block):
+    counts = (doc["sim"]["configurations"], doc["memo"]["misses"])
+    assert counts == (229, 55), \
+        f"{doc['sim']['engine']} run: {counts[0]} simulations over {counts[1]} executions"
 # Sections that are deterministic by contract. Scheduling-dependent
 # counters (workers, memo waits, per-pass hit splits under racing
 # OnceLock initialization) and the engine's own block-cache counters
@@ -221,7 +228,8 @@ report = open("/tmp/ci_block_profile.err").read()
 line = f"({mc['total']} classified misses over {mc['classified_runs']} runs)"
 assert any(l.startswith("miss classes:") and line in l for l in report.splitlines()), \
     "--profile report lacks its miss classes line"
-print(f"determinism OK: both engines reproduce EXPERIMENTS.md; {len(names)} stages agree")
+print(f"determinism OK: both engines reproduce EXPERIMENTS.md; {len(names)} stages agree; "
+      "229 simulations over 55 executions")
 EOF
 
 echo "CI green"

@@ -183,15 +183,12 @@ fn main() {
         }
         return;
     }
-    let pipeline = Pipeline::with_config(engine, obs.enabled());
     let spans = Arc::new(Spans::default());
-    if obs.trace.is_some() {
-        pipeline.set_trace_spans(Arc::clone(&spans));
-    }
     let total = Instant::now();
     if args[0] == "write-experiments" {
         let path = args.get(1).map_or("EXPERIMENTS.md", |s| s.as_str());
         let names: Vec<&str> = tables.iter().map(|(n, _)| *n).collect();
+        let pipeline = pipeline(engine, &obs, &names, &spans);
         let report = warm(&pipeline, &names, jobs, smoke, &spans);
         let doc = spans.time("document", || {
             experiments_doc(&pipeline, &tables, |name, secs| {
@@ -220,6 +217,7 @@ fn main() {
             std::process::exit(2);
         }
     }
+    let pipeline = pipeline(engine, &obs, &wanted, &spans);
     let report = warm(&pipeline, &wanted, jobs, smoke, &spans);
     for name in &wanted {
         let (_, f) = tables
@@ -240,6 +238,16 @@ fn main() {
     );
     let info = run_info(jobs, smoke, &wanted);
     obs.finish(&info, &pipeline, report.as_ref(), &spans);
+}
+
+/// The pipeline for rendering `tables`: it plans exactly their
+/// configurations, so each execution they share runs once.
+fn pipeline(engine: Engine, obs: &Obs, tables: &[&str], spans: &Arc<Spans>) -> Pipeline {
+    let pipeline = Pipeline::with_config(engine, obs.enabled()).planned(tables);
+    if obs.trace.is_some() {
+        pipeline.set_trace_spans(Arc::clone(spans));
+    }
+    pipeline
 }
 
 fn run_info(jobs: usize, smoke: bool, tables: &[&str]) -> RunInfo {

@@ -68,8 +68,10 @@ pub struct RunInfo {
 
 /// Builds the full run manifest. Mandatory sections (checked by
 /// `ci.sh`): `stages` (per-stage wall times), `memo` (hit/miss/wait
-/// counters and `hit_rate`), `workers` (per-worker simulation counts),
-/// `sim` (including `insts_per_sec`), `miss_classes`, `memory`
+/// counters and `hit_rate`; a miss is one engine run), `workers`
+/// (per-worker simulation counts), `sim` (including `insts_per_sec`,
+/// and `classify_misses`: whether the throughput includes the
+/// classifier), `miss_classes`, `memory`
 /// (per-level hit/miss counters and prefetcher effectiveness summed
 /// over every completed run), `reuse` (static reuse-analysis load
 /// counts against the paper-baseline geometry), and `analysis`
@@ -144,6 +146,7 @@ pub fn run_manifest(
     let sim = Json::obj()
         .with("configurations", timings.len().into())
         .with("engine", pipeline.engine().name().into())
+        .with("classify_misses", pipeline.classifies_misses().into())
         .with("instructions", stats.sim_instructions.into())
         .with("total_sim_secs", total_sim_secs.into())
         .with("total_compile_secs", total_compile_secs.into())
@@ -597,7 +600,7 @@ mod tests {
 
     #[test]
     fn manifest_has_mandatory_sections() {
-        let pipeline = Pipeline::with_config(dl_sim::Engine::default(), true);
+        let pipeline = Pipeline::with_config(dl_sim::Engine::default(), true).planned(&["table3"]);
         let spans = Spans::default();
         let report = spans.time("warm", || {
             prewarm_with_stats(&pipeline, &shrunk_table3(), 2)
@@ -626,6 +629,7 @@ mod tests {
             assert!(manifest.get(key).is_some(), "manifest missing `{key}`");
         }
         let memo = manifest.get("memo").unwrap();
+        // table3 runs each of its benchmarks once.
         assert_eq!(u(memo.get("misses")), report.processed as u64);
         let mc = manifest.get("miss_classes").unwrap();
         assert!(u(mc.get("total")) > 0, "classification produced no misses");
@@ -641,6 +645,7 @@ mod tests {
         }
         let sim = manifest.get("sim").unwrap();
         assert!(f(sim.get("insts_per_sec")) > 0.0);
+        assert_eq!(sim.get("classify_misses"), Some(&Json::Bool(true)));
         assert!(
             matches!(sim.get("engine"), Some(Json::Str(s)) if s == "step" || s == "block"),
             "sim section missing engine name"
@@ -722,7 +727,7 @@ mod tests {
     #[test]
     fn zeroed_manifest_is_deterministic() {
         let build = || {
-            let pipeline = Pipeline::new();
+            let pipeline = Pipeline::new().planned(&["table3"]);
             let spans = Spans::default();
             let report = spans.time("warm", || {
                 prewarm_with_stats(&pipeline, &shrunk_table3(), 1)

@@ -5,13 +5,20 @@
 //!
 //! The memo table is thread-safe: one `Mutex<HashMap>` maps each spec
 //! to a shared `OnceLock` cell, and the lock is held only for that
-//! lookup. Requests for the same spec are deduplicated *in flight* —
-//! the first thread to reach the cell runs the simulation while every
-//! other thread requesting it blocks in `OnceLock::get_or_init` and
-//! receives the shared result, so a configuration is simulated
-//! exactly once no matter how many threads race for it. If the
-//! simulating thread panics, the cell stays empty and a waiter
-//! simulates instead.
+//! lookup. A miss takes its execution's lock — one per `(benchmark,
+//! opt, input set)` — so requests are deduplicated *in flight*: a
+//! configuration is simulated exactly once no matter how many threads
+//! race for it, and every other requester waits and then shares the
+//! result. If a simulating thread panics, its entries stay empty and
+//! a waiter simulates instead.
+//!
+//! Execute once, model many: a pipeline has a *plan*, the specs of the
+//! tables it will render ([`Pipeline::planned`]), grouped by execution
+//! on the first memo miss. A miss on a planned spec runs that
+//! execution once and replays its access stream into every planned
+//! configuration of it that is not ready yet
+//! ([`dl_sim::run_many`]). Unplanned specs (runs derived at render
+//! time, ad-hoc requests) simulate alone.
 //!
 //! Compilation and analysis are additionally memoized per
 //! `(benchmark, opt)` — independent of input set and cache geometry —
@@ -19,16 +26,17 @@
 //!
 //! Every table-generation PR to come needs to see inside this machine,
 //! so the pipeline self-reports: memo hit/miss/wait counters
-//! ([`Pipeline::stats`]), per-configuration compile and simulation
-//! wall times ([`Pipeline::config_timings`]), and — for a pipeline
-//! built by [`Pipeline::with_config`] with classification on — the
-//! simulator's miss-class breakdown on every run it computes.
+//! ([`Pipeline::stats`]; a miss is one engine run), per-configuration
+//! compile and simulation wall times ([`Pipeline::config_timings`]),
+//! and — for a pipeline built by [`Pipeline::with_config`] with
+//! classification on — the simulator's miss-class breakdown on every
+//! run it computes.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 use dl_analysis::ctx::{AnalysisCtx, CtxStats};
 use dl_analysis::extract::ProgramAnalysis;
@@ -36,12 +44,13 @@ use dl_minic::OptLevel;
 use dl_mips::program::Program;
 use dl_obs::Spans;
 use dl_sim::{
-    run_full, BlockStats, CacheConfig, Engine, MemoryConfig, ReuseMeasurement, RunConfig, RunResult,
+    run_many, BlockStats, CacheConfig, Engine, MemoryConfig, ReuseMeasurement, RunConfig, RunResult,
 };
 use dl_workloads::Benchmark;
 
 use crate::obs::SpanPassObserver;
-use crate::schedule::RunSpec;
+use crate::schedule::{union_specs, RunSpec};
+use crate::tables::all_tables;
 
 /// Everything produced by one end-to-end benchmark run.
 #[derive(Debug)]
@@ -110,9 +119,11 @@ type Slot = Arc<OnceLock<Arc<BenchRun>>>;
 /// Snapshot of the pipeline's memo-table counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MemoStats {
-    /// Requests served from a ready memo entry.
+    /// Requests served from a ready memo entry, including entries a
+    /// shared execution computed alongside another request's.
     pub hits: u64,
-    /// Requests that computed a new entry (distinct simulations).
+    /// Engine runs: requests that found their entry missing and ran
+    /// its execution once, modeling it and any planned siblings.
     pub misses: u64,
     /// Requests that blocked on another thread's in-flight computation.
     pub waits: u64,
@@ -120,10 +131,11 @@ pub struct MemoStats {
     pub compile_hits: u64,
     /// Compilations actually performed.
     pub compile_misses: u64,
-    /// Total instructions executed across all computed simulations.
+    /// Instructions summed over every computed configuration: an
+    /// execution shared by `n` configurations counts `n` times.
     pub sim_instructions: u64,
-    /// Block-cache counters merged over every computed simulation
-    /// (all zero when simulations ran under [`Engine::Step`]).
+    /// Block-cache counters merged over every execution (all zero when
+    /// simulations ran under [`Engine::Step`]).
     pub block: BlockStats,
 }
 
@@ -159,9 +171,15 @@ pub struct ConfigTiming {
     pub sites: Option<usize>,
     /// Whether the run measured reuse distances ([`RunSpec::reuse`]).
     pub reuse: bool,
-    /// Seconds spent compiling + analyzing (0 on a compile-cache hit).
+    /// Seconds spent compiling + analyzing (0 on a compile-cache hit,
+    /// and for every configuration but the first of a shared
+    /// execution).
     pub compile_secs: f64,
-    /// Seconds spent simulating.
+    /// Seconds spent simulating. A shared execution's wall time is
+    /// split: each configuration is charged the time its own memory
+    /// model spent replaying the access stream, plus an equal share of
+    /// the rest (executing and recording), so the shares sum to the
+    /// execution's wall time.
     pub sim_secs: f64,
     /// Instructions the simulation executed.
     pub instructions: u64,
@@ -202,16 +220,34 @@ struct Counters {
     sim_instructions: AtomicU64,
 }
 
+/// One execution: benchmark name, optimization level, input set. The
+/// configurations of one execution can share its access stream.
+type ExecKey = (&'static str, OptLevel, u8);
+
+fn execution_of(spec: &RunSpec) -> ExecKey {
+    (spec.bench.name, spec.opt, spec.input_set)
+}
+
 /// Memoizing, thread-safe pipeline executor.
 ///
 /// Compilation + analysis are shared across input sets and cache
 /// geometries for the same `(benchmark, opt)`; simulation results are
 /// cached per [`RunSpec`], so tables that share configurations do not
-/// re-simulate. Concurrent requests for the same spec block until the
-/// single in-flight computation finishes and then share its result.
-#[derive(Debug, Default)]
+/// re-simulate, and the planned configurations of one execution are
+/// computed by one engine run. Concurrent requests for the same spec
+/// block until the single in-flight computation finishes and then
+/// share its result.
+#[derive(Debug)]
 pub struct Pipeline {
     runs: Mutex<HashMap<RunSpec, Slot>>,
+    /// The tables whose configurations this pipeline plans to compute.
+    plan_tables: Vec<&'static str>,
+    /// Their specs grouped by execution: built on the first memo miss,
+    /// so constructing a pipeline costs nothing.
+    plan: OnceLock<HashMap<ExecKey, Vec<RunSpec>>>,
+    /// One lock per execution, held while a miss computes its pending
+    /// configurations.
+    execution_locks: Mutex<HashMap<ExecKey, Arc<Mutex<()>>>>,
     /// One analysis context per `(bench, opt)`: the 99-configuration
     /// sweep analyzes each of its programs exactly once, no matter how
     /// many input sets, cache geometries, or predictors consume them.
@@ -232,32 +268,65 @@ pub struct Pipeline {
     trace: Mutex<Option<Arc<Spans>>>,
 }
 
+impl Default for Pipeline {
+    fn default() -> Self {
+        Pipeline::new()
+    }
+}
+
 impl Pipeline {
     /// An empty pipeline simulating under the default
-    /// [`Engine::Block`], without miss classification.
+    /// [`Engine::Block`], without miss classification, planning every
+    /// table.
     #[must_use]
     pub fn new() -> Self {
-        Pipeline::default()
+        Pipeline::with_config(Engine::default(), false)
     }
 
     /// An empty pipeline whose every simulation runs under `engine`
     /// and, with `classify_misses`, classifies each miss
     /// (compulsory/capacity/conflict and per-set histograms). Both
     /// engines and both settings produce identical hit/miss counts,
-    /// so table output is the same under all four.
+    /// so table output is the same under all four. It plans every
+    /// table; see [`Pipeline::planned`].
     #[must_use]
     pub fn with_config(engine: Engine, classify_misses: bool) -> Self {
         Pipeline {
+            runs: Mutex::default(),
+            plan_tables: all_tables().iter().map(|(name, _)| *name).collect(),
+            plan: OnceLock::new(),
+            execution_locks: Mutex::default(),
+            compiled: Mutex::default(),
+            counters: Counters::default(),
+            timings: Mutex::default(),
             engine,
             classify: classify_misses,
-            ..Pipeline::default()
+            block_stats: Mutex::default(),
+            trace: Mutex::default(),
         }
+    }
+
+    /// The same pipeline planning only `tables` (names unknown to
+    /// [`all_tables`] plan nothing): a miss on one of their specs
+    /// computes every configuration of its execution they ask for,
+    /// and any other spec simulates alone. An empty plan simulates
+    /// every spec alone.
+    #[must_use]
+    pub fn planned(mut self, tables: &[&str]) -> Self {
+        self.plan_tables.retain(|name| tables.contains(name));
+        self
     }
 
     /// The engine every simulation runs under.
     #[must_use]
     pub fn engine(&self) -> Engine {
         self.engine
+    }
+
+    /// Whether every simulation classifies its misses.
+    #[must_use]
+    pub(crate) fn classifies_misses(&self) -> bool {
+        self.classify
     }
 
     /// Attaches a span collector that receives a timestamped span for
@@ -300,40 +369,90 @@ impl Pipeline {
     /// Runs (or returns the memoized run of) one configuration — the
     /// one way the experiments simulate, so every simulation the
     /// tables trigger shares the memo table, the compile cache and the
-    /// counters.
+    /// counters. A miss on a planned spec also computes every other
+    /// planned configuration of its execution that is not ready yet,
+    /// on this spec's benchmark (and so its input), in one engine run.
     ///
     /// # Panics
     ///
     /// Panics if the benchmark fails to compile or traps during
     /// simulation — both indicate bugs in the bundled workloads and
-    /// are covered by tests. A panic leaves the entry empty, so a
-    /// concurrent waiter simulates it instead of deadlocking.
+    /// are covered by tests. A panic leaves the entries empty, so a
+    /// concurrent waiter simulates them instead of deadlocking.
     #[must_use]
     pub fn run_spec(&self, spec: &RunSpec) -> Arc<BenchRun> {
-        let slot = Arc::clone(
+        let slot = self.slot(spec);
+        if let Some(run) = slot.get() {
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(run);
+        }
+        let lock = Arc::clone(
+            self.execution_locks
+                .lock()
+                .expect("execution lock table")
+                .entry(execution_of(spec))
+                .or_default(),
+        );
+        // A thread that panicked mid-run poisons the lock and leaves
+        // its entries empty; the next one simply computes them.
+        let _running = lock.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(run) = slot.get() {
+            self.counters.waits.fetch_add(1, Ordering::Relaxed);
+            self.counters.hits.fetch_add(1, Ordering::Relaxed);
+            return Arc::clone(run);
+        }
+        self.counters.misses.fetch_add(1, Ordering::Relaxed);
+        let (specs, slots): (Vec<RunSpec>, Vec<Slot>) = match self.planned_execution(spec) {
+            // Every planned configuration of the execution still
+            // empty, on this spec's benchmark (and so its input).
+            Some(planned) => planned
+                .iter()
+                .filter_map(|planned| {
+                    let slot = self.slot(planned);
+                    slot.get().is_none().then(|| {
+                        let spec = RunSpec {
+                            bench: spec.bench.clone(),
+                            ..planned.clone()
+                        };
+                        (spec, slot)
+                    })
+                })
+                .unzip(),
+            None => (vec![spec.clone()], vec![Arc::clone(&slot)]),
+        };
+        for (run, slot) in self.compute(&specs).into_iter().zip(slots) {
+            // Entries of this execution fill only under its lock, so
+            // each is still empty.
+            let _ = slot.set(Arc::new(run));
+        }
+        Arc::clone(slot.get().expect("the requested spec was pending"))
+    }
+
+    /// The memo entry of `spec`, created empty if absent.
+    fn slot(&self, spec: &RunSpec) -> Slot {
+        Arc::clone(
             self.runs
                 .lock()
                 .expect("pipeline lock")
                 .entry(spec.clone())
                 .or_default(),
-        );
-        if let Some(run) = slot.get() {
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(run);
-        }
-        // Either this thread simulates, or it blocks until the thread
-        // that got there first finishes and then shares its run.
-        let mut computed = false;
-        let run = slot.get_or_init(|| {
-            computed = true;
-            self.counters.misses.fetch_add(1, Ordering::Relaxed);
-            Arc::new(self.compute(spec))
+        )
+    }
+
+    /// The planned specs of `spec`'s execution, if `spec` is one of
+    /// them. Groups the plan on first use.
+    fn planned_execution(&self, spec: &RunSpec) -> Option<&[RunSpec]> {
+        let plan = self.plan.get_or_init(|| {
+            let mut plan: HashMap<ExecKey, Vec<RunSpec>> = HashMap::new();
+            for planned in union_specs(self.plan_tables.iter().copied()) {
+                plan.entry(execution_of(&planned))
+                    .or_default()
+                    .push(planned);
+            }
+            plan
         });
-        if !computed {
-            self.counters.waits.fetch_add(1, Ordering::Relaxed);
-            self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        Arc::clone(run)
+        let planned = plan.get(&execution_of(spec))?;
+        planned.contains(spec).then_some(planned.as_slice())
     }
 
     /// Compiles and analyzes `bench` at `opt`, memoized per
@@ -386,63 +505,89 @@ impl Pipeline {
     }
 
     /// The uncached compile → analyze → simulate path, and the only
-    /// place the experiments build a [`RunConfig`].
-    fn compute(&self, spec: &RunSpec) -> BenchRun {
-        let RunSpec {
-            bench,
-            opt,
-            input_set,
-            cache,
-            memory,
-            prefetch_sites,
-            reuse,
-        } = spec;
-        let (compiled, compile_secs) = self.compiled_for(bench, *opt);
-        let config = RunConfig {
-            cache: *cache,
-            memory: *memory,
-            input: bench.input(*input_set).to_vec(),
-            prefetch_sites: prefetch_sites.clone(),
-            classify_misses: self.classify,
-            reuse_profile: *reuse,
-            engine: self.engine,
-            ..RunConfig::default()
-        };
+    /// place the experiments build a [`RunConfig`]: one engine run of
+    /// the execution `specs` share (benchmark, opt, input set), one
+    /// run per spec.
+    fn compute(&self, specs: &[RunSpec]) -> Vec<BenchRun> {
+        let first = specs.first().expect("at least one spec");
+        let (bench, opt) = (&first.bench, first.opt);
+        let (compiled, compile_secs) = self.compiled_for(bench, opt);
+        let input = bench.input(first.input_set);
+        let configs: Vec<RunConfig> = specs
+            .iter()
+            .map(|spec| RunConfig {
+                cache: spec.cache,
+                memory: spec.memory,
+                input: input.to_vec(),
+                prefetch_sites: spec.prefetch_sites.clone(),
+                classify_misses: self.classify,
+                reuse_profile: spec.reuse,
+                engine: self.engine,
+                ..RunConfig::default()
+            })
+            .collect();
         let sim_start = Instant::now();
-        let out = run_full(compiled.program(), &config)
+        let outputs = run_many(compiled.program(), &configs)
             .unwrap_or_else(|e| panic!("{} trapped at {opt}: {e}", bench.name));
         let sim_secs = sim_start.elapsed().as_secs_f64();
-        let timing = ConfigTiming {
-            bench: bench.name.to_owned(),
-            opt: *opt,
-            input_set: *input_set,
-            cache: *cache,
-            memory: *memory,
-            sites: prefetch_sites.as_ref().map(Vec::len),
-            reuse: *reuse,
-            compile_secs,
-            sim_secs,
-            instructions: out.result.instructions,
-        };
-        if let Some(spans) = self.trace_spans() {
-            spans.record_at(&format!("sim/{}", timing.label()), sim_start, sim_secs);
-        }
-        if let Some(stats) = out.block_stats {
+        // Each configuration is charged its own model's replay time
+        // plus an equal share of the rest: executing and recording.
+        let replay_secs: f64 = outputs.iter().map(|out| out.replay_secs).sum();
+        let shared_secs = (sim_secs - replay_secs).max(0.0) / specs.len() as f64;
+        let instructions = outputs[0].result.instructions;
+        self.counters
+            .sim_instructions
+            .fetch_add(instructions * specs.len() as u64, Ordering::Relaxed);
+        if let Some(stats) = &outputs[0].block_stats {
             self.block_stats
                 .lock()
                 .expect("block stats lock")
-                .merge(&stats);
+                .merge(stats);
         }
-        self.counters
-            .sim_instructions
-            .fetch_add(out.result.instructions, Ordering::Relaxed);
-        self.timings.lock().expect("timing lock").push(timing);
-        BenchRun {
-            spec: spec.clone(),
-            ctx: compiled.with_profile(&out.result.exec_counts),
-            result: out.result,
-            reuse: out.reuse,
-        }
+        let spans = self.trace_spans();
+        let mut offset = 0.0;
+        let mut timings = Vec::with_capacity(specs.len());
+        let runs = specs
+            .iter()
+            .zip(outputs)
+            .map(|(spec, out)| {
+                let timing = ConfigTiming {
+                    bench: spec.bench.name.to_owned(),
+                    opt,
+                    input_set: spec.input_set,
+                    cache: spec.cache,
+                    memory: spec.memory,
+                    sites: spec.prefetch_sites.as_ref().map(Vec::len),
+                    reuse: spec.reuse,
+                    compile_secs: if timings.is_empty() {
+                        compile_secs
+                    } else {
+                        0.0
+                    },
+                    sim_secs: shared_secs + out.replay_secs,
+                    instructions,
+                };
+                // Shares laid end to end: one span per configuration,
+                // together covering the execution.
+                if let Some(spans) = &spans {
+                    let start = sim_start + Duration::from_secs_f64(offset);
+                    spans.record_at(&format!("sim/{}", timing.label()), start, timing.sim_secs);
+                }
+                offset += timing.sim_secs;
+                timings.push(timing);
+                BenchRun {
+                    spec: spec.clone(),
+                    ctx: compiled.with_profile(&out.result.exec_counts),
+                    result: out.result,
+                    reuse: out.reuse,
+                }
+            })
+            .collect();
+        self.timings
+            .lock()
+            .expect("timing lock")
+            .append(&mut timings);
+        runs
     }
 
     /// Number of distinct simulations completed so far.
@@ -525,7 +670,7 @@ mod tests {
 
     #[test]
     fn memoization_shares_runs() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         // A small benchmark keeps the test fast.
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
@@ -540,7 +685,7 @@ mod tests {
 
     #[test]
     fn stats_track_hits_misses_and_compile_sharing() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
         let _ = p.run(&b, OptLevel::O0, 1, CacheConfig::paper_training());
@@ -564,7 +709,7 @@ mod tests {
 
     #[test]
     fn trace_spans_cover_compile_analysis_and_sim() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         let spans = Arc::new(dl_obs::Spans::default());
         p.set_trace_spans(Arc::clone(&spans));
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
@@ -635,7 +780,7 @@ mod tests {
 
     #[test]
     fn racing_threads_share_one_simulation() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
         std::thread::scope(|scope| {
@@ -663,7 +808,7 @@ mod tests {
     #[test]
     fn memory_config_is_part_of_the_memo_key() {
         use dl_sim::{Policy, Prefetch};
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.input1 = vec![500, 2];
         let cache = CacheConfig::paper_training();
@@ -753,7 +898,7 @@ mod tests {
 
     #[test]
     fn panic_releases_in_flight_claim() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         // A benchmark guaranteed to fail: nonexistent source.
         let mut b = dl_workloads::by_name("197.parser").expect("exists");
         b.name = "bogus";
@@ -770,5 +915,118 @@ mod tests {
         good.input1 = vec![500, 2];
         let _ = p.run(&good, OptLevel::O0, 1, CacheConfig::paper_training());
         assert_eq!(p.simulations(), 1);
+    }
+
+    /// Every planned spec of one execution, from the full plan.
+    fn planned_siblings(name: &str, opt: OptLevel, input_set: u8) -> Vec<RunSpec> {
+        union_specs(all_tables().iter().map(|(table, _)| *table))
+            .into_iter()
+            .filter(|spec| execution_of(spec) == (name, opt, input_set))
+            .collect()
+    }
+
+    #[test]
+    fn a_planned_miss_computes_its_whole_execution_once() {
+        let p = Pipeline::new();
+        let b = dl_workloads::by_name("181.mcf").expect("exists").smoke();
+        let siblings = planned_siblings(b.name, OptLevel::O0, 1);
+        assert!(siblings.len() > 10, "181.mcf@O0/in1 is widely shared");
+        let first = p.run(&b, OptLevel::O0, 1, CacheConfig::paper_training());
+        assert_eq!(p.simulations(), siblings.len());
+        for spec in &siblings {
+            let _ = p.run_spec(spec);
+        }
+        let s = p.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.hits, siblings.len() as u64);
+        assert_eq!(
+            s.sim_instructions,
+            first.result.instructions * siblings.len() as u64
+        );
+        // One execution is charged its compile once, and its timings
+        // split its wall time.
+        let timings = p.config_timings();
+        assert_eq!(timings.len(), siblings.len());
+        assert_eq!(timings.iter().filter(|t| t.compile_secs > 0.0).count(), 1);
+        assert!(timings.iter().all(|t| t.sim_secs >= 0.0));
+        // An unplanned spec of the same execution runs alone.
+        let sites = first.load_indices()[..1].to_vec();
+        let _ = p.run_spec(&RunSpec {
+            prefetch_sites: Some(sites),
+            memory: MemoryConfig {
+                prefetch: Some(dl_sim::Prefetch::NextLine(1)),
+                ..MemoryConfig::default()
+            },
+            ..first.spec().clone()
+        });
+        assert_eq!(p.stats().misses, 2);
+        assert_eq!(p.simulations(), siblings.len() + 1);
+    }
+
+    #[test]
+    fn sixteen_threads_on_one_planned_spec_cause_one_execution() {
+        let p = Pipeline::new();
+        let b = dl_workloads::by_name("197.parser").expect("exists").smoke();
+        let runs: Vec<Arc<BenchRun>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..16)
+                .map(|_| {
+                    let (p, b) = (&p, &b);
+                    scope.spawn(move || p.run(b, OptLevel::O0, 1, CacheConfig::paper_baseline()))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("joins"))
+                .collect()
+        });
+        for run in &runs {
+            assert!(Arc::ptr_eq(run, &runs[0]));
+        }
+        let s = p.stats();
+        assert_eq!((s.misses, s.hits), (1, 15));
+        assert_eq!(
+            p.simulations(),
+            planned_siblings(b.name, OptLevel::O0, 1).len()
+        );
+    }
+
+    #[test]
+    fn grouped_runs_equal_runs_alone() {
+        let b = dl_workloads::by_name("181.mcf").expect("exists").smoke();
+        let siblings: Vec<RunSpec> = planned_siblings(b.name, OptLevel::O0, 1)
+            .into_iter()
+            .map(|spec| RunSpec {
+                bench: b.clone(),
+                ..spec
+            })
+            .collect();
+        // Classification on, so every model's observers compare too.
+        let grouped = Pipeline::with_config(Engine::default(), true);
+        let alone = Pipeline::with_config(Engine::default(), true).planned(&[]);
+        for spec in &siblings {
+            let (g, a) = (grouped.run_spec(spec), alone.run_spec(spec));
+            assert_eq!(g.spec(), a.spec());
+            assert_eq!(g.result, a.result, "{spec:?}");
+            assert_eq!(g.reuse.is_some(), a.reuse.is_some());
+            if let (Some(g), Some(a)) = (&g.reuse, &a.reuse) {
+                for (gs, as_) in g.sites().iter().zip(a.sites()) {
+                    assert_eq!((gs.cold, gs.buckets), (as_.cold, as_.buckets));
+                }
+            }
+        }
+        assert_eq!(grouped.stats().misses, 1);
+        assert_eq!(alone.stats().misses, siblings.len() as u64);
+    }
+
+    #[test]
+    fn siblings_of_a_smoke_request_record_its_benchmark() {
+        let p = Pipeline::new();
+        let smoke = dl_workloads::by_name("181.mcf").expect("exists").smoke();
+        let _ = p.run(&smoke, OptLevel::O0, 1, CacheConfig::kb(64, 8));
+        let runs = p.ready_runs();
+        assert!(runs.len() > 1);
+        for run in &runs {
+            assert_eq!(run.spec().bench.input1, smoke.input1, "{:?}", run.spec());
+        }
     }
 }

@@ -363,14 +363,15 @@ mod tests {
     /// Prewarming a table's specs then generating it must add no new
     /// simulation but `extension-prefetch`'s site-filtered runs — i.e.
     /// the spec registry covers everything else each table asks the
-    /// pipeline for.
+    /// pipeline for. Nothing is planned, so no shared execution can
+    /// compute a spec the registry misses.
     ///
     /// Runs on shrunk inputs to keep it fast: the spec registry only
     /// depends on names/opt/input/cache, not input values.
     #[test]
     fn specs_cover_every_table() {
         for (name, f) in all_tables() {
-            let pipeline = Pipeline::new();
+            let pipeline = Pipeline::new().planned(&[]);
             let mut specs = table_specs(name);
             for spec in &mut specs {
                 spec.bench = spec.bench.smoke();
@@ -408,9 +409,9 @@ mod tests {
         for spec in &mut specs {
             spec.bench = spec.bench.smoke();
         }
-        let sequential = Pipeline::new();
+        let sequential = Pipeline::new().planned(&[]);
         prewarm(&sequential, &specs, 1);
-        let parallel = Pipeline::new();
+        let parallel = Pipeline::new().planned(&[]);
         prewarm(&parallel, &specs, 4);
         assert_eq!(sequential.simulations(), parallel.simulations());
         assert_eq!(parallel.simulations(), specs.len());
@@ -422,7 +423,7 @@ mod tests {
         for spec in &mut specs {
             spec.bench = spec.bench.smoke();
         }
-        let pipeline = Pipeline::new();
+        let pipeline = Pipeline::new().planned(&["table3"]);
         let report = prewarm_with_stats(&pipeline, &specs, 3);
         assert_eq!(report.processed, specs.len());
         assert_eq!(report.workers.len(), 3.min(specs.len()));
@@ -430,7 +431,7 @@ mod tests {
         assert_eq!(total, specs.len() as u64);
         assert!(report.imbalance() >= 1.0);
         // Sequential path reports a single worker owning everything.
-        let seq = prewarm_with_stats(&Pipeline::new(), &specs, 1);
+        let seq = prewarm_with_stats(&Pipeline::new().planned(&["table3"]), &specs, 1);
         assert_eq!(seq.workers.len(), 1);
         assert_eq!(seq.workers[0].specs, specs.len() as u64);
     }

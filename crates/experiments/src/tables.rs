@@ -1434,7 +1434,7 @@ mod tests {
     /// list the compiler would target.
     #[test]
     fn prefetcher_shifts_the_delinquency_ranking() {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[]);
         let cache = CacheConfig::paper_baseline();
         let pf = MemoryConfig {
             prefetch: Some(Prefetch::Stride(2)),
@@ -1470,10 +1470,11 @@ mod tests {
         );
     }
 
-    /// A pipeline prewarmed like `repro --smoke` on `jobs` workers:
-    /// every spec of `table` with its inputs clamped small.
+    /// A pipeline prewarmed like `repro --smoke table` on `jobs`
+    /// workers: planning `table`, every spec of it with its inputs
+    /// clamped small.
     fn smoke_pipeline(table: &str, jobs: usize) -> Pipeline {
-        let p = Pipeline::new();
+        let p = Pipeline::new().planned(&[table]);
         let mut specs = crate::schedule::table_specs(table);
         for spec in &mut specs {
             spec.bench = spec.bench.smoke();
@@ -1515,6 +1516,31 @@ mod tests {
                 .filter(|run| run.spec().prefetch_sites.is_some())
                 .count();
             assert_eq!(filtered, derived, "{table}");
+        }
+    }
+
+    /// A smoke request computes its whole planned execution on the
+    /// smoke input: every sibling records the smoke benchmark in its
+    /// spec, so `extension-prefetch`, which derives its runs from its
+    /// base run's spec, keeps that input too.
+    #[test]
+    fn smoke_siblings_carry_their_input_into_derived_runs() {
+        let p = Pipeline::new();
+        let names = ["181.mcf", "183.equake", "179.art", "164.gzip"];
+        for name in names {
+            let smoke = dl_workloads::by_name(name).expect("known").smoke();
+            let _ = p.run(&smoke, OptLevel::O0, 1, CacheConfig::paper_training());
+        }
+        assert_eq!(p.stats().misses, names.len() as u64);
+        let _ = extension_prefetch(&p);
+        // The base runs were siblings; only the 12 filtered runs ran.
+        assert_eq!(p.stats().misses, names.len() as u64 + 12);
+        for run in p.ready_runs() {
+            let spec = run.spec();
+            let smoke = dl_workloads::by_name(spec.bench.name)
+                .expect("known")
+                .smoke();
+            assert_eq!(spec.bench.input1, smoke.input1, "{spec:?}");
         }
     }
 

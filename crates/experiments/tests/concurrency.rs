@@ -1,7 +1,7 @@
 //! Determinism guarantees of the parallel pipeline: a document
 //! rendered over a memo table warmed by N workers must be
 //! byte-identical to one warmed sequentially, and racing threads on
-//! one key must share a single simulation.
+//! one key must share a single simulation (planned or not).
 
 use std::sync::Arc;
 
@@ -35,7 +35,7 @@ fn subset_tables() -> Vec<(&'static str, TableFn)> {
 }
 
 fn render(jobs: usize) -> String {
-    let pipeline = Pipeline::new();
+    let pipeline = Pipeline::new().planned(SUBSET);
     prewarm(&pipeline, &shrunk_specs(SUBSET), jobs);
     experiments_doc(&pipeline, &subset_tables(), |_, _| {})
 }
@@ -54,7 +54,7 @@ fn parallel_prewarm_renders_byte_identical_documents() {
 
 #[test]
 fn hammering_one_key_runs_one_simulation() {
-    let pipeline = Pipeline::new();
+    let pipeline = Pipeline::new().planned(&[]);
     let mut bench = dl_workloads::by_name("197.parser").expect("exists");
     bench.input1 = vec![200, 2];
     let runs: Vec<Arc<BenchRun>> = std::thread::scope(|scope| {

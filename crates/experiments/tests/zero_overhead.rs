@@ -42,7 +42,8 @@ enum Instrument {
 }
 
 fn render_instrumented(mode: Instrument, engine: Engine) -> String {
-    let pipeline = Pipeline::with_config(engine, matches!(mode, Instrument::Classify));
+    let pipeline =
+        Pipeline::with_config(engine, matches!(mode, Instrument::Classify)).planned(SUBSET);
     if matches!(mode, Instrument::Trace) {
         pipeline.set_trace_spans(Arc::new(Spans::default()));
     }
@@ -74,9 +75,10 @@ fn observed_tables_are_byte_identical_to_unobserved() {
 }
 
 /// The zero-overhead guarantee holds under *both* simulator cores, and
-/// the cores agree with each other: classification forces the block
-/// engine onto its instrumented slow path, so this also pins the fast
-/// path and slow path to identical table output.
+/// the cores agree with each other: classification makes the block
+/// engine record its access stream for the models to replay, so this
+/// also pins the inline fast path and the recorded path to identical
+/// table output.
 #[test]
 fn observed_tables_identical_across_engines() {
     let step_off = render_with(false, Engine::Step);
@@ -127,7 +129,7 @@ fn memmatrix_table_is_immune_to_instrumentation() {
         .collect();
     assert_eq!(memmatrix.len(), 1, "extension-memmatrix is registered");
     let render = |classify: bool, engine: Engine| {
-        let pipeline = Pipeline::with_config(engine, classify);
+        let pipeline = Pipeline::with_config(engine, classify).planned(&["extension-memmatrix"]);
         prewarm(&pipeline, &shrunk_specs(&["extension-memmatrix"]), 2);
         experiments_doc(&pipeline, &memmatrix, |_, _| {})
     };
@@ -145,7 +147,7 @@ fn memmatrix_table_is_immune_to_instrumentation() {
 
 #[test]
 fn classification_attaches_profiles_without_extra_simulations() {
-    let pipeline = Pipeline::with_config(Engine::default(), true);
+    let pipeline = Pipeline::with_config(Engine::default(), true).planned(SUBSET);
     let specs = shrunk_specs(SUBSET);
     prewarm(&pipeline, &specs, 2);
     assert_eq!(pipeline.simulations(), specs.len());

@@ -580,14 +580,13 @@ impl BlockCache {
         }
     }
 
-    /// Expands the batched load/store totals (fast path only — the
-    /// slow path counts per access through `dcache_load`/`dcache_store`).
+    /// Expands the batched load/store totals: every retirement of a
+    /// block performed each of its static load and store slots once.
     pub(crate) fn flush_access_totals(&self, result: &mut RunResult) {
         for (block, &n) in self.blocks.iter().zip(&self.retired) {
             result.loads += n * u64::from(block.loads);
             result.stores += n * u64::from(block.stores);
         }
-        result.dcache_accesses += result.loads + result.stores;
     }
 
     pub(crate) fn stats(&self) -> BlockStats {
@@ -1159,23 +1158,24 @@ fn w(m: &mut Machine<'_>, reg: u8, v: u32) {
     }
 }
 
-/// Executes one straight-line op. `SLOW` routes data accesses through
-/// the full per-access hooks (tracing, prefetch, miss classification);
-/// the fast path batches load/store totals at block retirement.
+/// Executes one straight-line op. `RECORD` appends each data access
+/// to the recorded stream the memory models replay; the fast path
+/// models the one plain configuration inline. Both batch load/store
+/// totals at block retirement.
 #[inline(always)]
-fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Result<(), Trap> {
+fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Result<(), Trap> {
     match *op {
         Op::Lw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
         }
         Op::Lb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -1185,7 +1185,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         Op::Lbu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -1195,7 +1195,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         Op::Lh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -1205,7 +1205,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         Op::Lhu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -1215,13 +1215,13 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         Op::Sw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW>(m, cv, at, addr);
+            store_access::<RECORD>(m, cv, at, addr);
             mem_write(m, at, addr, r(m, rt))?;
         }
         Op::Sb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW>(m, cv, at, addr);
+            store_access::<RECORD>(m, cv, at, addr);
             m.mem
                 .write_u8(addr, r(m, rt) as u8)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -1229,7 +1229,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         Op::Sh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW>(m, cv, at, addr);
+            store_access::<RECORD>(m, cv, at, addr);
             m.mem
                 .write_u16(addr, r(m, rt) as u16)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -1287,7 +1287,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, imm);
@@ -1303,7 +1303,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, r(m, rs2).wrapping_add(imm));
@@ -1319,7 +1319,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rt2) << shamt);
@@ -1335,7 +1335,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rs).wrapping_add(r(m, rt2)));
@@ -1352,7 +1352,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            load_access::<SLOW>(m, cv, at, addr);
+            load_access::<RECORD>(m, cv, at, addr);
             let v = mem_read(m, at, addr)?;
             w(m, rt2, v);
         }
@@ -1368,7 +1368,7 @@ fn exec_op<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Res
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            store_access::<SLOW>(m, cv, at, addr);
+            store_access::<RECORD>(m, cv, at, addr);
             mem_write(m, at, addr, r(m, rt2))?;
         }
         Op::LiAddu {
@@ -1413,18 +1413,18 @@ fn mem_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Tr
         .map_err(|fault| Trap::Mem { at, fault })
 }
 
-/// Load-slot cache access. Fast path: an access that hits the set's
-/// MRU way changes no replacement state, so it is answered with one
-/// compare ([`mru_hit`]) using the hoisted [`CacheView`] geometry;
-/// everything else funnels through [`MemorySystem::demand_access`]. Only
-/// misses update counters — `loads`/`dcache_accesses` totals are
-/// batched per block retirement, and no per-site hits are recorded: a
-/// site's hits are `exec_counts - load_misses` (every execution of a
-/// load site is exactly one access).
+/// Load-slot cache access. Recording: append it to the stream. Fast
+/// path: an access that hits the set's MRU way changes no replacement
+/// state, so it is answered with one compare ([`mru_hit`]) using the
+/// hoisted [`CacheView`] geometry; everything else funnels through
+/// [`MemorySystem::demand_access`]. Only misses update counters —
+/// `loads`/`dcache_accesses` totals are batched per block retirement,
+/// and no per-site hits are recorded: a site's hits are `exec_counts -
+/// load_misses` (every execution of a load site is exactly one access).
 #[inline(always)]
-fn load_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
-    if SLOW {
-        m.dcache_load(at, addr);
+fn load_access<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
+    if RECORD {
+        m.record(at, addr, false);
         return;
     }
     if mru_hit(m, cv, addr) {
@@ -1440,18 +1440,19 @@ fn load_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, 
 /// around an opaque call), and the inlined form won.
 #[inline(always)]
 fn load_access_slow(m: &mut Machine<'_>, at: usize, addr: u32) {
-    if !m.cache.demand_access(addr).hit {
-        m.result.load_misses[at] += 1;
-        m.result.load_misses_total += 1;
-        m.result.dcache_misses += 1;
+    let model = &mut m.model;
+    if !model.system.demand_access(addr).hit {
+        model.load_misses[at] += 1;
+        model.load_misses_total += 1;
+        model.dcache_misses += 1;
     }
 }
 
 /// Store-slot cache access; `stores` totals are batched per block.
 #[inline(always)]
-fn store_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
-    if SLOW {
-        m.dcache_store(at, addr);
+fn store_access<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
+    if RECORD {
+        m.record(at, addr, true);
         return;
     }
     if mru_hit(m, cv, addr) {
@@ -1463,8 +1464,9 @@ fn store_access<const SLOW: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize,
 /// Non-MRU store access. Inlined like [`load_access_slow`].
 #[inline(always)]
 fn store_access_slow(m: &mut Machine<'_>, addr: u32) {
-    if !m.cache.demand_access(addr).hit {
-        m.result.dcache_misses += 1;
+    let model = &mut m.model;
+    if !model.system.demand_access(addr).hit {
+        model.dcache_misses += 1;
     }
 }
 
@@ -1473,7 +1475,7 @@ fn store_access_slow(m: &mut Machine<'_>, addr: u32) {
 #[inline(always)]
 fn mru_hit(m: &Machine<'_>, cv: CacheView, addr: u32) -> bool {
     let block = u64::from(addr >> cv.set_shift);
-    let mru = m.cache.mru_blocks();
+    let mru = m.model.system.mru_blocks();
     // The set count is a power of two, so masking by `len - 1` keeps
     // the index in bounds and the bounds check folds away.
     let set = (block as usize) & (mru.len() - 1);
@@ -1579,25 +1581,28 @@ fn exec_term(m: &mut Machine<'_>, term: &Term, at: usize, fall: usize) -> Result
     })
 }
 
-/// The block-dispatch outer loop. Returns the run's block-cache stats;
-/// the caller expands `exec_counts` and finalizes the result.
+/// The block-dispatch outer loop, in two instantiations: `RECORD`
+/// appends every data access to the recorded stream (see
+/// [`crate::trace`]); the fast path models the run's one plain
+/// configuration inline. The caller expands `exec_counts` and access
+/// totals and finalizes the result.
 ///
 /// `max_steps` is exact: a block that would overshoot the limit is
 /// split, executing only the instructions the budget still allows (so
 /// traps inside the prefix still surface first) before reporting
 /// [`Trap::StepLimit`] — byte-for-byte the reference engine's
 /// behaviour.
-pub(crate) fn run_blocks<const SLOW: bool>(
+pub(crate) fn run_blocks<const RECORD: bool>(
     m: &mut Machine<'_>,
     bc: &mut BlockCache,
     max_steps: u64,
 ) -> Result<(), Trap> {
     debug_assert!(m.finished.is_none(), "run after termination");
     debug_assert!(
-        SLOW || m.cache.profile().is_none(),
-        "cache profiling requires the slow path"
+        RECORD || m.model.is_plain(),
+        "an instrumented model requires the recorded stream"
     );
-    let cv = CacheView::new(&m.cache);
+    let cv = CacheView::new(&m.model.system);
     let halt = m.halt_index;
     let mut pc = m.pc;
     let mut instructions = m.result.instructions;
@@ -1626,7 +1631,7 @@ pub(crate) fn run_blocks<const SLOW: bool>(
                 return run_partial(m, start, remaining as usize, max_steps);
             }
             for op in &block.body {
-                exec_op::<SLOW>(m, cv, op)?;
+                exec_op::<RECORD>(m, cv, op)?;
             }
             // The terminator instruction's own index is the final
             // segment's last (fusion and chaining mean body op count

@@ -5,7 +5,7 @@
 //! sweeps associativity (2/4/8) and capacity (8–64 KiB). Replacement
 //! defaults to true LRU; [`Cache::with_policy`] selects tree-PLRU or
 //! random instead (see [`crate::memory`]), and the crate-private
-//! block-level operations (`Cache::invalidate_block` and friends)
+//! block-level operations (`Cache::extract_block` and friends)
 //! exist for the two-level hierarchy's inclusion maintenance.
 
 use std::fmt;
@@ -427,34 +427,53 @@ impl Cache {
     /// On a miss the block is filled (evicting the policy's victim).
     #[inline]
     pub fn access(&mut self, addr: u32) -> bool {
-        self.access_with_victim(addr).0
+        self.access_slot(addr).0
     }
 
-    /// Like [`Cache::access`], additionally reporting the block number
-    /// the fill evicted (if the access missed and displaced a valid
-    /// line) — the information the two-level hierarchy needs for
-    /// inclusion maintenance. Victim reconstruction runs only on the
-    /// miss path, so [`Cache::access`] pays nothing for it.
+    /// Like [`Cache::access`], additionally reporting the slot (`set *
+    /// assoc + way`) that holds the block afterwards, so the hierarchy
+    /// can keep per-line state such as a fill reason, and the block
+    /// number the fill evicted (if the access missed and displaced a
+    /// valid line), which inclusion maintenance needs.
     #[inline]
-    pub(crate) fn access_with_victim(&mut self, addr: u32) -> (bool, Option<u64>) {
+    pub(crate) fn access_slot(&mut self, addr: u32) -> (bool, usize, Option<u64>) {
         let block = u64::from(addr >> self.set_shift);
         let set = (block as u32) & self.set_mask;
         let tag = block >> self.tag_shift;
+        let assoc = self.cfg.assoc as usize;
+        let base = set as usize * assoc;
         // Fast path: the MRU way already holds the block, so recency
         // state is already correct — one compare, no set walk.
         if self.mru[set as usize] == block {
             if self.profiling {
                 self.profile_access(block, set, true);
             }
-            return (true, None);
+            return (true, base + self.mru_way(base, assoc, tag), None);
         }
-        let assoc = self.cfg.assoc as usize;
-        let (hit, evicted) = self.access_slow(set as usize * assoc, assoc, set, tag);
+        let (hit, way, evicted) = self.access_slow(base, assoc, set, tag);
         self.mru[set as usize] = block;
         if self.profiling {
             self.profile_access(block, set, hit);
         }
-        (hit, evicted)
+        (hit, base + way, evicted)
+    }
+
+    /// The way of the set at `base` holding `tag`, which is the set's
+    /// MRU block: the head of the LRU order, or found by a tag scan
+    /// under the policies that keep no order. Release builds neither
+    /// index-check nor panic here, which leaves the compiler free to
+    /// drop it where the slot is unused, as in [`Cache::access`].
+    #[inline]
+    fn mru_way(&self, base: usize, assoc: usize, tag: u64) -> usize {
+        let way = if matches!(self.repl, Repl::Lru) {
+            self.order.get(base).map_or(0, |&w| usize::from(w))
+        } else {
+            (0..assoc)
+                .position(|w| self.tags.get(base + w) == Some(&tag))
+                .unwrap_or(0)
+        };
+        debug_assert_eq!(self.tags[base + way], tag, "the MRU block is resident");
+        way
     }
 
     /// Profiling bookkeeping for one access: per-set histograms, the
@@ -479,14 +498,15 @@ impl Cache {
     }
 
     /// Non-MRU hit or miss: walk the set and update the recency state,
-    /// reporting the evicted block (if any valid line was displaced).
+    /// reporting the way now holding the block and the evicted block
+    /// (if any valid line was displaced).
     fn access_slow(
         &mut self,
         base: usize,
         assoc: usize,
         set: u32,
         tag: u64,
-    ) -> (bool, Option<u64>) {
+    ) -> (bool, usize, Option<u64>) {
         if !matches!(self.repl, Repl::Lru) {
             return self.access_slow_policy(base, assoc, set, tag);
         }
@@ -500,7 +520,7 @@ impl Cache {
             let w = order[p];
             order.copy_within(0..p, 1);
             order[0] = w;
-            return (true, None);
+            return (true, usize::from(w), None);
         }
         // Miss: evict the LRU way (the tail of the order). Untouched
         // (invalid) ways sit at the tail, so cold fills consume them
@@ -510,7 +530,11 @@ impl Cache {
         order[0] = victim;
         let old = self.tags[base + victim as usize];
         self.tags[base + victim as usize] = tag;
-        (false, evicted_block(old, set, self.tag_shift))
+        (
+            false,
+            usize::from(victim),
+            evicted_block(old, set, self.tag_shift),
+        )
     }
 
     /// The PLRU/random set walk: hit detection scans the tags directly
@@ -524,11 +548,11 @@ impl Cache {
         assoc: usize,
         set: u32,
         tag: u64,
-    ) -> (bool, Option<u64>) {
+    ) -> (bool, usize, Option<u64>) {
         for way in 0..assoc {
             if self.tags[base + way] == tag {
                 self.repl.touch(set as usize, assoc, way);
-                return (true, None);
+                return (true, way, None);
             }
         }
         let way = match (0..assoc).find(|&w| self.tags[base + w] == INVALID_TAG) {
@@ -538,24 +562,22 @@ impl Cache {
         let old = self.tags[base + way];
         self.tags[base + way] = tag;
         self.repl.touch(set as usize, assoc, way);
-        (false, evicted_block(old, set, self.tag_shift))
+        (false, way, evicted_block(old, set, self.tag_shift))
     }
 
-    /// Removes `block` if present, reporting whether it was. Used by
-    /// the hierarchy: back-invalidation when an inclusive L2 evicts,
-    /// and the probe side of an exclusive L2 (a hit migrates the line
-    /// up, so it leaves this level). Clears the MRU shortcut when it
-    /// pointed at the removed line — a stale entry would fake hits on
-    /// the fast path — and demotes the freed way to the LRU tail so
-    /// the next fill reuses it.
-    pub(crate) fn extract_block(&mut self, block: u64) -> bool {
+    /// Removes `block` if present, reporting the slot (`set * assoc +
+    /// way`) it vacated. Used by the hierarchy: back-invalidation when
+    /// an inclusive L2 evicts, and the probe side of an exclusive L2 (a
+    /// hit migrates the line up, so it leaves this level). Clears the
+    /// MRU shortcut when it pointed at the removed line — a stale entry
+    /// would fake hits on the fast path — and demotes the freed way to
+    /// the LRU tail so the next fill reuses it.
+    pub(crate) fn extract_block(&mut self, block: u64) -> Option<usize> {
         let set = (block as u32) & self.set_mask;
         let tag = block >> self.tag_shift;
         let assoc = self.cfg.assoc as usize;
         let base = set as usize * assoc;
-        let Some(way) = (0..assoc).find(|&w| self.tags[base + w] == tag) else {
-            return false;
-        };
+        let way = (0..assoc).find(|&w| self.tags[base + w] == tag)?;
         self.tags[base + way] = INVALID_TAG;
         if self.mru[set as usize] == block {
             self.mru[set as usize] = INVALID_TAG;
@@ -569,12 +591,7 @@ impl Cache {
             order.copy_within(pos + 1.., pos);
             order[assoc - 1] = way as u16;
         }
-        true
-    }
-
-    /// Removes `block` if present (inclusive back-invalidation).
-    pub(crate) fn invalidate_block(&mut self, block: u64) {
-        self.extract_block(block);
+        Some(base + way)
     }
 
     /// Inserts `block` without counting an access — an exclusive L2
@@ -837,18 +854,34 @@ mod tests {
     }
 
     #[test]
-    fn access_with_victim_reports_displaced_blocks() {
+    fn access_slot_reports_slots_and_displaced_blocks() {
         let cfg = CacheConfig::kb(8, 2);
-        let mut c = Cache::new(cfg);
         let stride = cfg.sets() * cfg.block_bytes();
         let a = 0x2000_0000u32;
-        // Cold fills displace nothing.
-        assert_eq!(c.access_with_victim(a), (false, None));
-        assert_eq!(c.access_with_victim(a + stride), (false, None));
-        // Third block in the set evicts a's block (the LRU).
-        let (hit, victim) = c.access_with_victim(a + 2 * stride);
+        for policy in [Policy::Lru, Policy::Plru, Policy::Random] {
+            let mut c = Cache::with_policy(cfg, policy, 7);
+            // Cold fills displace nothing and take the set's two ways.
+            let (hit, sa, victim) = c.access_slot(a);
+            assert_eq!((hit, victim), (false, None));
+            let (hit, sb, victim) = c.access_slot(a + stride);
+            assert_eq!((hit, victim), (false, None));
+            assert_ne!(sa, sb, "{policy}");
+            // A hit reports the slot its fill took, on the MRU
+            // shortcut and on the set walk alike.
+            assert_eq!(c.access_slot(a + stride), (true, sb, None));
+            assert_eq!(c.access_slot(a), (true, sa, None));
+            assert_eq!(c.access_slot(a), (true, sa, None));
+        }
+        // Under LRU a third block in the set evicts the LRU block, b's,
+        // and takes its slot.
+        let mut c = Cache::new(cfg);
+        let (_, sa, _) = c.access_slot(a);
+        let (_, sb, _) = c.access_slot(a + stride);
+        c.access_slot(a);
+        let (hit, slot, victim) = c.access_slot(a + 2 * stride);
         assert!(!hit);
-        assert_eq!(victim, Some(u64::from(a >> 5)));
+        assert_eq!((slot, victim), (sb, Some(u64::from((a + stride) >> 5))));
+        assert_ne!(slot, sa);
     }
 
     #[test]
@@ -857,8 +890,8 @@ mod tests {
         let a = 0x2000_0000u32;
         let block = u64::from(a >> 5);
         c.access(a);
-        assert!(c.extract_block(block));
-        assert!(!c.extract_block(block), "already gone");
+        assert!(c.extract_block(block).is_some());
+        assert!(c.extract_block(block).is_none(), "already gone");
         // The MRU shortcut must not resurrect the line.
         assert!(!c.access(a), "invalidated line re-misses");
     }

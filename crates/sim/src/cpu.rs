@@ -1,8 +1,9 @@
 //! The functional CPU interpreter.
 //!
 //! Executes a [`Program`] instruction-by-instruction, feeding every
-//! data access through the [`crate::Cache`] model and recording per-PC
-//! statistics into a [`RunResult`].
+//! data access to one memory model per configuration (see
+//! [`crate::trace`]) and recording per-PC statistics into a
+//! [`RunResult`].
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -16,11 +17,11 @@ use dl_testkit::Rng;
 use crate::block::{self, BlockCache, BlockStats, Engine};
 use crate::cache::CacheConfig;
 use crate::mem::{MemFault, Memory};
-use crate::memory::{MemoryConfig, MemorySystem};
+use crate::memory::MemoryConfig;
 use crate::observe::{MissObservatory, ObserveConfig};
 use crate::reuse::ReuseMeasurement;
 use crate::stats::RunResult;
-use crate::trace::TraceRecord;
+use crate::trace::{MemoryModel, TraceRecord, CHUNK};
 
 /// Syscall numbers recognized by the simulator (selected via `$v0`).
 pub mod syscalls {
@@ -91,6 +92,11 @@ impl fmt::Display for Trap {
 impl std::error::Error for Trap {}
 
 /// Configuration for one simulated run.
+///
+/// The fields split in two. `input`, `seed`, `max_steps` and `engine`
+/// shape the *execution*; everything else shapes one *memory model*
+/// of it, so [`run_many`] can model any number of configurations that
+/// agree on the first four from one execution.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
     /// L1 data-cache geometry.
@@ -104,7 +110,8 @@ pub struct RunConfig {
     pub max_steps: u64,
     /// Integers served to the `read_int` syscall, in order.
     pub input: Vec<i32>,
-    /// Seed for the `rand` syscall.
+    /// Seed for the `rand` syscall (and the random replacement
+    /// policy's victim stream).
     pub seed: u64,
     /// Instruction indices of the loads that trigger the configured
     /// prefetcher — the paper's motivating consumer instruments only
@@ -118,15 +125,16 @@ pub struct RunConfig {
     /// by default.
     pub classify_misses: bool,
     /// Collect epoch-windowed per-load-site miss counts into
-    /// [`SimOutput::observatory`] (see [`crate::observe`]). Routes the
-    /// block engine through its instrumented path; off by default.
+    /// [`SimOutput::observatory`] (see [`crate::observe`]). The block
+    /// engine then records the access stream for the model; off by
+    /// default.
     pub observe: Option<ObserveConfig>,
     /// Measure per-load-site reuse-distance histograms over a shadow
     /// LRU stack into [`SimOutput::reuse`] (see [`crate::reuse`]) —
     /// the ground truth for the static reuse profiles. The stack is a
     /// second instance of the classifier's, fed demand accesses only.
-    /// Routes the block engine through its instrumented path; off by
-    /// default.
+    /// The block engine then records the access stream for the model;
+    /// off by default.
     pub reuse_profile: bool,
     /// Which interpreter core executes the run. Both produce identical
     /// results; see [`Engine`]. Defaults to [`Engine::Block`].
@@ -150,16 +158,16 @@ impl Default for RunConfig {
     }
 }
 
-/// Everything a finished run produced: the measurement record, the
-/// memory trace (empty unless [`Machine::record_trace`] was called),
-/// and block-cache stats (`None` under [`Engine::Step`]).
+/// Everything a finished run produced for one configuration: the
+/// measurement record, block-cache stats (`None` under
+/// [`Engine::Step`]) and the optional observers.
 #[derive(Debug, Clone)]
 pub struct SimOutput {
     /// The full measurement record.
     pub result: RunResult,
-    /// Recorded memory accesses, in execution order.
-    pub trace: Vec<TraceRecord>,
-    /// Block-cache behaviour counters ([`Engine::Block`] only).
+    /// Block-cache behaviour counters of the execution
+    /// ([`Engine::Block`] only); shared by every output of one
+    /// [`run_many`] call.
     pub block_stats: Option<BlockStats>,
     /// Epoch-windowed per-load-site miss counts (only when
     /// [`RunConfig::observe`] was set).
@@ -167,6 +175,10 @@ pub struct SimOutput {
     /// Measured reuse-distance histograms (only when
     /// [`RunConfig::reuse_profile`] was set).
     pub reuse: Option<ReuseMeasurement>,
+    /// Wall seconds spent replaying the recorded access stream into
+    /// this configuration's memory model; 0 when the block engine
+    /// modeled it inline. A timing, not a measurement of the program.
+    pub replay_secs: f64,
 }
 
 /// The simulator state; use [`run`] unless you need single-stepping.
@@ -177,74 +189,82 @@ pub struct Machine<'p> {
     pub(crate) pc: usize,
     pub(crate) halt_index: usize,
     pub(crate) mem: Memory,
-    pub(crate) cache: MemorySystem,
     rng: Rng,
     input: VecDeque<i32>,
+    /// The execution record: instruction and access counts, exec
+    /// counts, output and exit code. The miss-side fields stay empty;
+    /// each memory model keeps its own.
     pub(crate) result: RunResult,
     pub(crate) finished: Option<i32>,
     // Which interpreter core run_* methods use.
     engine: Engine,
-    // When Some, every data access is recorded.
-    trace: Option<Vec<TraceRecord>>,
-    // When Some, every load access is windowed into miss epochs.
-    observatory: Option<MissObservatory>,
-    // When Some, every data access updates the shadow LRU stack.
-    reuse: Option<ReuseMeasurement>,
-    // Hot-path flags mirroring the optional state above: data
-    // accesses check one bool each instead of an Option walk.
-    tracing: bool,
-    classifying: bool,
-    observing: bool,
-    reusing: bool,
+    /// The first configuration's memory model. The block engine's
+    /// fast path probes and counts into it inline.
+    pub(crate) model: MemoryModel,
+    /// The other configurations' models, fed the same stream.
+    models: Vec<MemoryModel>,
+    /// Accesses recorded since the last replay, at most [`CHUNK`].
+    chunk: Vec<TraceRecord>,
+    /// Every recorded access, when [`crate::trace::capture_trace`]
+    /// keeps the stream.
+    kept: Option<Vec<TraceRecord>>,
 }
 
 impl<'p> Machine<'p> {
     /// Prepares a machine at the program's entry point.
     #[must_use]
     pub fn new(program: &'p Program, config: &RunConfig) -> Self {
+        Machine::with_models(program, std::slice::from_ref(config))
+    }
+
+    /// A machine executing under `configs[0]`'s execution settings and
+    /// modeling every config's memory system.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty or its configs describe different
+    /// executions.
+    fn with_models(program: &'p Program, configs: &[RunConfig]) -> Self {
+        let (first, rest) = configs.split_first().expect("at least one config");
+        assert!(
+            rest.iter().all(|c| c.input == first.input
+                && c.seed == first.seed
+                && c.max_steps == first.max_steps
+                && c.engine == first.engine),
+            "configs of one execution must share input, seed, step limit and engine"
+        );
+        let insts = program.insts.len();
         let mut regs = [0u32; 32];
         regs[Reg::Sp as usize] = STACK_TOP;
         regs[Reg::Fp as usize] = STACK_TOP;
         regs[Reg::Gp as usize] = GP_VALUE;
         // Returning from the entry function jumps to the halt sentinel.
-        let halt_index = program.insts.len();
+        let halt_index = insts;
         regs[Reg::Ra as usize] = layout::pc_of_index(halt_index);
-        let mut cache = MemorySystem::new(config, program.insts.len());
-        let mut result = RunResult::with_len(program.insts.len());
-        if config.classify_misses {
-            cache.enable_profiling();
-            result.load_miss_classes = Some(vec![[0u64; 3]; program.insts.len()]);
-        }
         Machine {
             program,
             regs,
             pc: program.entry,
             halt_index,
             mem: Memory::new(&program.data),
-            cache,
-            rng: Rng::new(config.seed),
-            input: config.input.iter().copied().collect(),
-            result,
+            rng: Rng::new(first.seed),
+            input: first.input.iter().copied().collect(),
+            result: RunResult {
+                exec_counts: vec![0; insts],
+                ..RunResult::default()
+            },
             finished: None,
-            engine: config.engine,
-            trace: None,
-            observatory: config
-                .observe
-                .map(|obs| MissObservatory::new(program.insts.len(), obs)),
-            reuse: config
-                .reuse_profile
-                .then(|| ReuseMeasurement::new(program.insts.len(), config.cache.block_bytes())),
-            tracing: false,
-            classifying: config.classify_misses,
-            observing: config.observe.is_some(),
-            reusing: config.reuse_profile,
+            engine: first.engine,
+            model: MemoryModel::new(first, insts),
+            models: rest.iter().map(|c| MemoryModel::new(c, insts)).collect(),
+            chunk: Vec::with_capacity(CHUNK),
+            kept: None,
         }
     }
 
-    /// Enables memory-trace recording (see [`crate::trace`]).
-    pub fn record_trace(&mut self) {
-        self.trace = Some(Vec::new());
-        self.tracing = true;
+    /// Keeps every recorded access for [`Machine::run_recorded`].
+    pub(crate) fn keep_trace(&mut self) {
+        self.kept = Some(Vec::new());
     }
 
     /// Reads a register.
@@ -272,110 +292,47 @@ impl<'p> Machine<'p> {
         (self.rng.next_u64() >> 33) as u32
     }
 
-    /// Records a trace entry. Out of line: tracing is off in every
-    /// hot configuration, so the common path only tests a bool.
-    #[cold]
-    fn push_trace(&mut self, at: usize, addr: u32, store: bool) {
-        self.trace
-            .as_mut()
-            .expect("tracing flag implies trace buffer")
-            .push(TraceRecord {
-                at: at as u32,
-                addr,
-                store,
-            });
-    }
-
-    /// Attributes the miss the cache just classified to load site
-    /// `at`. Out of line: classification is opt-in profiling only.
-    #[cold]
-    fn attribute_miss_class(&mut self, at: usize) {
-        let class = self
-            .cache
-            .last_miss_class()
-            .expect("classifying implies a classified miss");
-        self.result
-            .load_miss_classes
-            .as_mut()
-            .expect("classifying implies attribution table")[at][class.index()] += 1;
-    }
-
-    /// Windows one load access into the observatory's current epoch.
-    /// Out of line: the observatory is opt-in reporting only.
-    #[cold]
-    fn observe_load(&mut self, at: usize, miss: bool) {
-        self.observatory
-            .as_mut()
-            .expect("observing flag implies observatory")
-            .observe(at, miss);
-    }
-
-    /// Records that the load about to be observed hit only because a
-    /// prefetch filed its line. Out of line, same as `observe_load`.
-    #[cold]
-    fn observe_hidden_load(&mut self, at: usize) {
-        self.observatory
-            .as_mut()
-            .expect("observing flag implies observatory")
-            .observe_hidden(at);
-    }
-
-    /// Pushes one data access onto the shadow LRU stack. Out of line:
-    /// reuse measurement is opt-in validation only.
-    #[cold]
-    fn record_reuse(&mut self, at: usize, addr: u32, store: bool) {
-        self.reuse
-            .as_mut()
-            .expect("reusing flag implies measurement")
-            .record(at, addr, store);
-    }
-
-    // Inlined by fiat: this is the per-access entry of the cache
-    // model, and whether the inliner keeps it inside the block
-    // engine's dispatch loop has measured as a double-digit-percent
-    // throughput swing between otherwise identical binaries.
+    /// Appends one data access to the recorded stream, replaying the
+    /// chunk into every model when it fills.
     #[inline(always)]
-    pub(crate) fn dcache_load(&mut self, at: usize, addr: u32) {
-        if self.tracing {
-            self.push_trace(at, addr, false);
+    pub(crate) fn record(&mut self, at: usize, addr: u32, store: bool) {
+        self.chunk.push(TraceRecord {
+            at: at as u32,
+            addr,
+            store,
+        });
+        if self.chunk.len() == CHUNK {
+            self.replay_chunk();
         }
-        self.result.dcache_accesses += 1;
+    }
+
+    /// Replays the recorded chunk into every model (and the kept
+    /// trace), then empties it. Out of line: once per [`CHUNK`]
+    /// accesses.
+    #[cold]
+    #[inline(never)]
+    fn replay_chunk(&mut self) {
+        self.model.replay(&self.chunk);
+        for model in &mut self.models {
+            model.replay(&self.chunk);
+        }
+        if let Some(kept) = &mut self.kept {
+            kept.extend_from_slice(&self.chunk);
+        }
+        self.chunk.clear();
+    }
+
+    /// The step engine's load access: counted here, modeled from the
+    /// recorded stream.
+    fn load(&mut self, at: usize, addr: u32) {
         self.result.loads += 1;
-        let access = self.cache.demand_access(addr);
-        if !access.hit {
-            self.result.load_misses[at] += 1;
-            self.result.load_misses_total += 1;
-            self.result.dcache_misses += 1;
-            if self.classifying {
-                self.attribute_miss_class(at);
-            }
-        }
-        if self.observing {
-            if access.hidden {
-                self.observe_hidden_load(at);
-            }
-            self.observe_load(at, !access.hit);
-        }
-        if self.reusing {
-            self.record_reuse(at, addr, false);
-        }
-        self.cache.prefetch_observe(at, addr);
+        self.record(at, addr, false);
     }
 
-    // See `dcache_load` for why this is force-inlined.
-    #[inline(always)]
-    pub(crate) fn dcache_store(&mut self, at: usize, addr: u32) {
-        if self.tracing {
-            self.push_trace(at, addr, true);
-        }
-        self.result.dcache_accesses += 1;
+    /// The step engine's store access; see [`Machine::load`].
+    fn store(&mut self, at: usize, addr: u32) {
         self.result.stores += 1;
-        if !self.cache.demand_access(addr).hit {
-            self.result.dcache_misses += 1;
-        }
-        if self.reusing {
-            self.record_reuse(at, addr, true);
-        }
+        self.record(at, addr, true);
     }
 
     /// Resolves an indirect jump target PC to an instruction index.
@@ -442,7 +399,7 @@ impl<'p> Machine<'p> {
         match inst {
             Inst::Lw { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_load(at, addr);
+                self.load(at, addr);
                 let v = self
                     .mem
                     .read_u32(addr)
@@ -451,7 +408,7 @@ impl<'p> Machine<'p> {
             }
             Inst::Lb { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_load(at, addr);
+                self.load(at, addr);
                 let v = self
                     .mem
                     .read_u8(addr)
@@ -460,7 +417,7 @@ impl<'p> Machine<'p> {
             }
             Inst::Lbu { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_load(at, addr);
+                self.load(at, addr);
                 let v = self
                     .mem
                     .read_u8(addr)
@@ -469,7 +426,7 @@ impl<'p> Machine<'p> {
             }
             Inst::Lh { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_load(at, addr);
+                self.load(at, addr);
                 let v = self
                     .mem
                     .read_u16(addr)
@@ -478,7 +435,7 @@ impl<'p> Machine<'p> {
             }
             Inst::Lhu { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_load(at, addr);
+                self.load(at, addr);
                 let v = self
                     .mem
                     .read_u16(addr)
@@ -487,21 +444,21 @@ impl<'p> Machine<'p> {
             }
             Inst::Sw { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_store(at, addr);
+                self.store(at, addr);
                 self.mem
                     .write_u32(addr, r(self, rt))
                     .map_err(|fault| Trap::Mem { at, fault })?;
             }
             Inst::Sb { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_store(at, addr);
+                self.store(at, addr);
                 self.mem
                     .write_u8(addr, r(self, rt) as u8)
                     .map_err(|fault| Trap::Mem { at, fault })?;
             }
             Inst::Sh { rt, base, off } => {
                 let addr = r(self, base).wrapping_add(off as i32 as u32);
-                self.dcache_store(at, addr);
+                self.store(at, addr);
                 self.mem
                     .write_u16(addr, r(self, rt) as u16)
                     .map_err(|fault| Trap::Mem { at, fault })?;
@@ -635,16 +592,6 @@ impl<'p> Machine<'p> {
         self.run_full(max_steps).map(|out| out.result)
     }
 
-    /// Like [`Self::run_to_completion`], also returning the memory
-    /// trace (empty unless [`Self::record_trace`] was called).
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] that aborted execution.
-    pub fn run_traced(self, max_steps: u64) -> Result<(RunResult, Vec<TraceRecord>), Trap> {
-        self.run_full(max_steps).map(|out| (out.result, out.trace))
-    }
-
     /// Runs to completion under the configured [`Engine`], consuming
     /// the machine and returning every output of the run.
     ///
@@ -656,7 +603,18 @@ impl<'p> Machine<'p> {
     ///
     /// Debug builds panic if the finished [`RunResult`] violates its
     /// cross-field invariants.
-    pub fn run_full(mut self, max_steps: u64) -> Result<SimOutput, Trap> {
+    pub fn run_full(self, max_steps: u64) -> Result<SimOutput, Trap> {
+        self.run_recorded(max_steps)
+            .map(|(_, mut outputs)| outputs.swap_remove(0))
+    }
+
+    /// Runs to completion and returns the kept trace (empty unless
+    /// [`Machine::keep_trace`] was called) and one output per model,
+    /// in configuration order.
+    pub(crate) fn run_recorded(
+        mut self,
+        max_steps: u64,
+    ) -> Result<(Vec<TraceRecord>, Vec<SimOutput>), Trap> {
         let block_stats = match self.engine {
             Engine::Step => {
                 self.run_steps(max_steps)?;
@@ -664,13 +622,10 @@ impl<'p> Machine<'p> {
             }
             Engine::Block => Some(self.run_block_engine(max_steps)?),
         };
+        self.replay_chunk();
         self.result.exit_code = self.finished.unwrap_or(0);
-        self.result.cache_profile = self.cache.take_profile();
-        self.cache.flush_into(&mut self.result);
+        self.result.dcache_accesses = self.result.loads + self.result.stores;
         if cfg!(debug_assertions) {
-            if let Err(violation) = self.result.check_consistency() {
-                panic!("inconsistent RunResult: {violation}");
-            }
             // Every execution of a load site is exactly one load
             // access; on the fast path this ties each block's static
             // load slots to the range-expanded exec counts.
@@ -687,26 +642,12 @@ impl<'p> Machine<'p> {
                 "load-site executions diverge from dynamic loads"
             );
         }
-        let observatory = self.observatory.map(|mut obs| {
-            obs.finish();
-            obs
-        });
-        if cfg!(debug_assertions) {
-            if let Some(obs) = &observatory {
-                assert_eq!(
-                    obs.site_totals(),
-                    self.result.load_misses,
-                    "observatory epoch totals diverge from per-site miss counts"
-                );
-            }
-        }
-        Ok(SimOutput {
-            result: self.result,
-            trace: self.trace.unwrap_or_default(),
-            block_stats,
-            observatory,
-            reuse: self.reuse,
-        })
+        let exec = self.result;
+        let outputs = std::iter::once(self.model)
+            .chain(self.models)
+            .map(|model| model.finish(&exec, block_stats))
+            .collect();
+        Ok((self.kept.unwrap_or_default(), outputs))
     }
 
     /// Reference engine: the per-instruction `step()` loop.
@@ -720,27 +661,26 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Block-cached engine: decoded basic-block dispatch. Tracing,
-    /// prefetch, miss classification and the observatory need
-    /// per-access hooks, so any of them selects the slow dispatch
-    /// instantiation; the common configuration runs the fully batched
-    /// fast path.
+    /// True when the run must record its access stream: several
+    /// models, a kept trace, or one model whose observers must see
+    /// every access. Otherwise the block engine models the single
+    /// plain configuration inline.
+    fn records(&self) -> bool {
+        !self.models.is_empty() || self.kept.is_some() || !self.model.is_plain()
+    }
+
+    /// Block-cached engine: decoded basic-block dispatch, in its
+    /// recording instantiation when [`Machine::records`] says so and
+    /// its inline fast path otherwise.
     fn run_block_engine(&mut self, max_steps: u64) -> Result<BlockStats, Trap> {
-        let slow = self.tracing
-            || self.classifying
-            || self.observing
-            || self.reusing
-            || self.cache.forces_slow();
         let mut cache = BlockCache::new(self.program.insts.len());
-        if slow {
+        if self.records() {
             block::run_blocks::<true>(self, &mut cache, max_steps)?;
         } else {
             block::run_blocks::<false>(self, &mut cache, max_steps)?;
         }
         cache.flush_exec_counts(&mut self.result);
-        if !slow {
-            cache.flush_access_totals(&mut self.result);
-        }
+        cache.flush_access_totals(&mut self.result);
         Ok(cache.stats())
     }
 }
@@ -781,6 +721,28 @@ pub fn run_with_stats(
 /// `config.max_steps`.
 pub fn run_full(program: &Program, config: &RunConfig) -> Result<SimOutput, Trap> {
     Machine::new(program, config).run_full(config.max_steps)
+}
+
+/// Executes `program` once and models every configuration in
+/// `configs` from its one access stream: the outputs, in order, equal
+/// those of [`run_full`] on each config alone. The execution follows
+/// `configs[0]`'s input, seed, step limit and engine, which every
+/// config must share.
+///
+/// # Errors
+///
+/// Returns a [`Trap`] if the program faults or exceeds the step
+/// limit.
+///
+/// # Panics
+///
+/// Panics if `configs` is empty or its configs disagree on input,
+/// seed, step limit or engine.
+pub fn run_many(program: &Program, configs: &[RunConfig]) -> Result<Vec<SimOutput>, Trap> {
+    let max_steps = configs.first().expect("at least one config").max_steps;
+    Machine::with_models(program, configs)
+        .run_recorded(max_steps)
+        .map(|(_, outputs)| outputs)
 }
 
 #[cfg(test)]

@@ -28,9 +28,9 @@
 //! no state), and it cannot interact with the L2 (no miss, no victim).
 //! The block engine's one-compare MRU probe therefore stays valid for
 //! every policy and hierarchy; only the prefetcher — which must see
-//! every demand load it may trigger on — forces the slow path.
+//! every demand load it may trigger on — needs the recorded access
+//! stream (see [`crate::trace`]).
 
-use std::collections::HashSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -427,23 +427,27 @@ pub(crate) struct MemCounters {
     pub prefetch_useful: u64,
 }
 
-/// The configured memory hierarchy owned by one
-/// [`crate::cpu::Machine`]: L1 (always), optional L2, optional
-/// prefetcher, plus the prefetch fill-reason set and level counters.
+/// The configured memory hierarchy of one memory model: L1 (always),
+/// optional L2, optional prefetcher, plus the prefetch fill reason of
+/// every L1 line and the level counters.
 ///
-/// Both engines funnel every non-MRU demand access through
-/// [`MemorySystem::demand_access`], so hierarchy state advances in an
-/// identical order regardless of engine; the block engine's fast path
-/// only ever skips accesses that provably change no state.
+/// Every non-MRU demand access goes through
+/// [`MemorySystem::demand_access`] in program order, whichever engine
+/// produced it, so hierarchy state advances identically; the block
+/// engine's fast path only ever skips accesses that provably change no
+/// state.
 #[derive(Debug, Clone)]
 pub(crate) struct MemorySystem {
     l1: Cache,
     l2: Option<Box<Cache>>,
     inclusion: Inclusion,
     prefetcher: Option<Box<Prefetcher>>,
-    /// Blocks resident in L1 whose most recent fill was a prefetch.
-    /// Demand misses overwrite the reason; demand hits consume it.
-    prefetched: HashSet<u64>,
+    /// Per L1 slot (`set * assoc + way`): was the line's most recent
+    /// fill a prefetch? Set by a prefetch fill, cleared by a demand
+    /// fill and by back-invalidation, read and cleared by a demand
+    /// hit. Empty for the plain configuration, which never consults
+    /// it.
+    prefetched: Vec<bool>,
     /// Plain single-L1 fast configuration: no L2, no prefetcher.
     /// Gates the one branch the demand path adds.
     simple: bool,
@@ -488,21 +492,27 @@ impl MemorySystem {
                 })
             })
         });
+        let simple = l2.is_none() && prefetcher.is_none();
+        let slots = if simple {
+            0
+        } else {
+            (l1.sets() * l1.assoc()) as usize
+        };
         MemorySystem {
             l1: Cache::with_policy(l1, mem.policy, seed ^ L1_SEED_SALT),
-            simple: l2.is_none() && prefetcher.is_none(),
+            simple,
             l2,
             inclusion: mem.l2.map(|c| c.inclusion).unwrap_or_default(),
             prefetcher,
-            prefetched: HashSet::new(),
+            prefetched: vec![false; slots],
             counters: MemCounters::default(),
         }
     }
 
-    /// True when this configuration requires the block engine's slow
-    /// path: the prefetcher must see every demand load it may trigger
-    /// on, including MRU hits the fast path would skip.
-    pub(crate) fn forces_slow(&self) -> bool {
+    /// True when a prefetcher is configured: it must see every demand
+    /// load it may trigger on, including the MRU hits the block
+    /// engine's fast path skips.
+    pub(crate) fn prefetches(&self) -> bool {
         self.prefetcher.is_some()
     }
 
@@ -528,11 +538,6 @@ impl MemorySystem {
         self.l1.last_miss_class()
     }
 
-    /// See [`Cache::profile`].
-    pub(crate) fn profile(&self) -> Option<&CacheProfile> {
-        self.l1.profile()
-    }
-
     /// See [`Cache::take_profile`].
     pub(crate) fn take_profile(&mut self) -> Option<CacheProfile> {
         self.l1.take_profile()
@@ -552,21 +557,23 @@ impl MemorySystem {
         self.demand_access_full(addr)
     }
 
-    /// Demand access under a non-trivial configuration: consult the
-    /// prefetch fill-reason set on hits, walk the L2 on misses.
+    /// Demand access under a non-trivial configuration: consume the
+    /// line's prefetch fill reason on a hit, walk the L2 on a miss.
     fn demand_access_full(&mut self, addr: u32) -> Access {
         let block = u64::from(addr >> self.l1.hot_params());
-        let (hit, victim) = self.l1.access_with_victim(addr);
+        let (hit, slot, victim) = self.l1.access_slot(addr);
+        // A hit reads the reason; a miss just made a demand fill.
+        // Either way the line is demand-reasoned from here on.
+        let prefetched = std::mem::take(&mut self.prefetched[slot]);
         if hit {
-            let hidden = self.prefetched.remove(&block);
-            if hidden {
+            if prefetched {
                 self.counters.prefetch_useful += 1;
             }
-            return Access { hit: true, hidden };
+            return Access {
+                hit: true,
+                hidden: prefetched,
+            };
         }
-        // The L1 fill just performed is demand-reasoned: clear any
-        // stale prefetch tag left from an earlier eviction.
-        self.prefetched.remove(&block);
         self.walk_l2(block, victim);
         Access {
             hit: false,
@@ -585,21 +592,20 @@ impl MemorySystem {
                 // Fill flows through both levels; an L2 eviction
                 // forces the line out of L1 too.
                 let addr = (block as u32) << self.l1.hot_params();
-                let (hit, evicted) = l2.access_with_victim(addr);
+                let (hit, _, evicted) = l2.access_slot(addr);
                 if hit {
                     self.counters.l2_hits += 1;
                 } else {
                     self.counters.l2_misses += 1;
                 }
-                if let Some(v) = evicted {
-                    self.l1.invalidate_block(v);
-                    self.prefetched.remove(&v);
+                if let Some(slot) = evicted.and_then(|v| self.l1.extract_block(v)) {
+                    self.prefetched[slot] = false;
                 }
             }
             Inclusion::Exclusive => {
                 // An L2 hit migrates the line up (it now lives only in
                 // L1); the L1 victim falls back into the L2.
-                if l2.extract_block(block) {
+                if l2.extract_block(block).is_some() {
                     self.counters.l2_hits += 1;
                 } else {
                     self.counters.l2_misses += 1;
@@ -617,12 +623,12 @@ impl MemorySystem {
     fn prefetch_fill(&mut self, addr: u32) {
         self.counters.prefetches_issued += 1;
         let block = u64::from(addr >> self.l1.hot_params());
-        let (hit, victim) = self.l1.access_with_victim(addr);
+        let (hit, slot, victim) = self.l1.access_slot(addr);
         if hit {
             return;
         }
         self.counters.prefetch_fills += 1;
-        self.prefetched.insert(block);
+        self.prefetched[slot] = true;
         self.walk_l2(block, victim);
     }
 

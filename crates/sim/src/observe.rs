@@ -10,13 +10,14 @@
 //! The block engine batches instruction counting per dispatched
 //! superblock (its running total is only flushed at the end of the
 //! run), so instruction-aligned windows could not be reproduced
-//! exactly across engines — but both engines feed every load through
-//! the same per-access hook in the same order, so access-aligned
-//! windows are deterministic *and* engine-invariant.
+//! exactly across engines — but both engines record the same access
+//! stream in the same order, so access-aligned windows are
+//! deterministic *and* engine-invariant.
 //!
-//! Collection rides the simulator's existing instrumented (slow) path;
-//! with the observatory off the fast path is untouched, which the
-//! zero-overhead byte-compare test enforces.
+//! The observatory is one more observer inside a memory model that
+//! replays the recorded stream (see [`crate::trace`]); with it off,
+//! the block engine's fast path is untouched, which the zero-overhead
+//! byte-compare test enforces.
 
 /// Configuration for the miss observatory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

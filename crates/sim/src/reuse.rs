@@ -229,13 +229,15 @@ impl StackDistance {
 
 /// Every load site's reuse-distance histogram over one shadow LRU
 /// stack. Attached to a run via `RunConfig::reuse_profile`; collected
-/// from `SimOutput::reuse`.
+/// from `SimOutput::reuse`, whose stack is already dropped: a finished
+/// run keeps only the histograms.
 #[derive(Debug, Clone)]
 pub struct ReuseMeasurement {
     line_shift: u32,
     /// Per-site histograms, indexed by instruction index.
     sites: Vec<SiteHistogram>,
-    stack: StackDistance,
+    /// The shadow stack; `None` once the run finished.
+    stack: Option<StackDistance>,
 }
 
 impl ReuseMeasurement {
@@ -247,15 +249,21 @@ impl ReuseMeasurement {
         ReuseMeasurement {
             line_shift: line_bytes.trailing_zeros(),
             sites: vec![SiteHistogram::default(); insts],
-            stack: StackDistance::new(),
+            stack: Some(StackDistance::new()),
         }
     }
 
     /// Records one access. `at` is the instruction index; only loads
     /// (`store == false`) contribute histogram entries, but every
     /// access refreshes its block's recency.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a measurement taken from a finished run, whose shadow
+    /// stack is gone.
     pub fn record(&mut self, at: usize, addr: u32, store: bool) {
-        let bucket = self.stack.touch(addr >> self.line_shift);
+        let stack = self.stack.as_mut().expect("record after finish");
+        let bucket = stack.touch(addr >> self.line_shift);
         if !store {
             let site = &mut self.sites[at];
             match bucket {
@@ -263,6 +271,12 @@ impl ReuseMeasurement {
                 None => site.cold += 1,
             }
         }
+    }
+
+    /// Ends the measurement: drops the shadow stack (a node per block
+    /// ever touched, plus its index pages) and keeps the histograms.
+    pub(crate) fn finish(&mut self) {
+        self.stack = None;
     }
 
     /// The histogram of load site `at`.

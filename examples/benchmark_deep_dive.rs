@@ -18,7 +18,7 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown benchmark `{name}`; see dl_workloads::all()"));
     println!("== {} — {}", bench.name, bench.description);
 
-    let pipeline = Pipeline::new();
+    let pipeline = Pipeline::new().planned(&[]);
     let run = pipeline.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
 
     let heuristic = Heuristic::default();

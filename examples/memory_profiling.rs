@@ -1,12 +1,13 @@
 //! The methodology the heuristic replaces: full memory profiling.
 //!
 //! The paper (§3) explains why static identification matters — the
-//! off-line alternative is to capture a memory trace and push it
-//! through a cache simulator, which is "time and space consuming".
-//! This example does exactly that for one workload: capture the trace
-//! once, replay it across a sweep of cache geometries, and compare the
-//! trace-derived delinquent sets against what the *static* heuristic
-//! flagged without ever running the program.
+//! off-line alternative is to trace a program's memory accesses and
+//! push the trace through a cache simulator, which is "time and space
+//! consuming". This example does exactly that for one workload:
+//! execute it once, replay its recorded access stream into a sweep of
+//! cache geometries, and compare the trace-derived delinquent sets
+//! against what the *static* heuristic flagged without ever running
+//! the program.
 //!
 //! ```text
 //! cargo run --release --example memory_profiling [benchmark-name]
@@ -15,7 +16,7 @@
 use std::time::Instant;
 
 use delinquent_loads::prelude::*;
-use delinquent_loads::sim::trace::{capture_trace, replay_trace};
+use delinquent_loads::sim::run_many;
 
 fn main() {
     let name = std::env::args()
@@ -27,38 +28,43 @@ fn main() {
 
     let program = bench.compile(OptLevel::O0).expect("compiles");
     let analysis = analyze_program(&program, &AnalysisConfig::default());
-    let config = RunConfig {
-        input: bench.input1.clone(),
-        ..RunConfig::default()
-    };
+    let geometries = [
+        CacheConfig::kb(4, 2),
+        CacheConfig::kb(8, 4),
+        CacheConfig::kb(16, 4),
+        CacheConfig::kb(32, 4),
+        CacheConfig::kb(64, 8),
+    ];
+    let configs: Vec<RunConfig> = geometries
+        .iter()
+        .map(|&cache| RunConfig {
+            cache,
+            input: bench.input1.clone(),
+            ..RunConfig::default()
+        })
+        .collect();
 
-    // One traced execution...
+    // One execution, its access stream replayed into every geometry.
     let t0 = Instant::now();
-    let (trace, result) = capture_trace(&program, &config).expect("runs");
-    let capture_ms = t0.elapsed().as_millis();
+    let outputs = run_many(&program, &configs).expect("runs");
+    let sweep_ms = t0.elapsed().as_millis();
+    let result = &outputs[0].result;
     println!(
-        "captured {} accesses ({} MiB of trace) in {capture_ms} ms",
-        trace.len(),
-        trace.len() * std::mem::size_of_val(&trace[0]) / (1024 * 1024)
+        "one execution of {} instructions, {} accesses, modeled at {} geometries in {sweep_ms} ms",
+        result.instructions,
+        result.dcache_accesses,
+        geometries.len()
     );
 
-    // ...then replay across geometries without re-executing.
     let heuristic = Heuristic::default();
     let static_set = heuristic.classify(&analysis, &result.exec_counts);
     println!(
         "\n{:>10} {:>10} {:>12} {:>14} {:>12}",
         "cache", "misses", "replay ms", "ideal-90 |Δ|", "static ρ"
     );
-    for geometry in [
-        CacheConfig::kb(4, 2),
-        CacheConfig::kb(8, 4),
-        CacheConfig::kb(16, 4),
-        CacheConfig::kb(32, 4),
-        CacheConfig::kb(64, 8),
-    ] {
-        let t1 = Instant::now();
-        let stats = replay_trace(&trace, geometry, program.insts.len());
-        let replay_ms = t1.elapsed().as_millis();
+    for (geometry, out) in geometries.iter().zip(&outputs) {
+        let stats = &out.result;
+        let replay_ms = out.replay_secs * 1e3;
         // Trace-derived ideal set for 90% coverage at this geometry.
         let mut by_miss: Vec<usize> = (0..program.insts.len())
             .filter(|&i| stats.load_misses[i] > 0)
@@ -85,7 +91,7 @@ fn main() {
                 / stats.load_misses_total as f64
         };
         println!(
-            "{:>10} {:>10} {:>12} {:>14} {:>11.1}%",
+            "{:>10} {:>10} {:>12.1} {:>14} {:>11.1}%",
             geometry
                 .to_string()
                 .split_whitespace()
@@ -99,6 +105,7 @@ fn main() {
     }
     println!(
         "\nThe static set was computed once, from assembly; memory profiling \
-         needs the trace (and its storage) for every new configuration."
+         needs an execution, and a replay of its trace, for every new \
+         configuration."
     );
 }

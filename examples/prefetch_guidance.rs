@@ -19,7 +19,7 @@ fn main() {
         .unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
     println!("== prefetch site selection for {}", bench.name);
 
-    let pipeline = Pipeline::new();
+    let pipeline = Pipeline::new().planned(&[]);
     let run = pipeline.run(&bench, OptLevel::O0, 1, CacheConfig::paper_training());
     let lambda = run.lambda();
 

@@ -11,7 +11,7 @@ use delinquent_loads::heuristic::training::{train_weights, TrainingParams, Train
 use delinquent_loads::prelude::*;
 
 fn main() {
-    let pipeline = Pipeline::new();
+    let pipeline = Pipeline::new().planned(&[]);
     let runs: Vec<_> = delinquent_loads::workloads::training_set()
         .into_iter()
         .map(|b| {

@@ -60,9 +60,9 @@ fn all_workloads_identical_across_engines() {
     }
 }
 
-/// Miss classification routes the block engine through its per-access
-/// slow path; the three-Cs breakdown and per-set histograms must still
-/// match the reference engine exactly.
+/// Miss classification makes the block engine record its access stream
+/// for the model to replay; the three-Cs breakdown and per-set
+/// histograms must still match the reference engine exactly.
 #[test]
 fn classified_workloads_identical_across_engines() {
     for b in delinquent_loads::workloads::all() {
