@@ -175,13 +175,13 @@ python3 bench_e2e.py 1 1 > /tmp/ci_e2e.json
 
 echo "== determinism: every table against EXPERIMENTS.md =="
 # The committed EXPERIMENTS.md is the one reference for the
-# determinism contract. Two full regenerations must reproduce it byte
-# for byte: A under the step engine (the reference interpreter) on
-# four prewarm workers, B under the block engine on two with
-# `--profile`. Both classify every miss (`--manifest` turns
-# classification on) and trace every span. The one-worker render is
-# perfbench's `tables` op, which bench_e2e.py above checks against the
-# same file.
+# determinism contract. Three full regenerations must reproduce it
+# byte for byte: A under the step engine (the reference interpreter)
+# on four prewarm workers, B under the block engine on two with
+# `--profile`, C under the step engine on two with no instrumentation.
+# A and B classify every miss (`--manifest` turns classification on)
+# and trace every span. The one-worker render is perfbench's `tables`
+# op, which bench_e2e.py above checks against the same file.
 ./target/release/repro --engine step --jobs 4 --manifest /tmp/ci_step_manifest.json \
   --trace-out /tmp/ci_step_trace.json write-experiments /tmp/ci_step_experiments.md 2>/dev/null
 cmp EXPERIMENTS.md /tmp/ci_step_experiments.md
@@ -189,6 +189,12 @@ cmp EXPERIMENTS.md /tmp/ci_step_experiments.md
   --trace-out /tmp/ci_block_trace.json write-experiments /tmp/ci_block_experiments.md \
   2>/tmp/ci_block_profile.err
 cmp EXPERIMENTS.md /tmp/ci_block_experiments.md
+# Classification makes every model observe every access, so neither
+# run above strips the stream its plain models replay. A plain
+# reference-engine run does, and must reproduce the file too.
+./target/release/repro --engine step --jobs 2 write-experiments /tmp/ci_plain_step_experiments.md \
+  2>/dev/null
+cmp EXPERIMENTS.md /tmp/ci_plain_step_experiments.md
 python3 - <<'EOF'
 import json
 
@@ -205,12 +211,12 @@ def zero(value, timing):
 step, block = (json.load(open(f"/tmp/ci_{run}_manifest.json")) for run in ("step", "block"))
 assert step["sim"]["engine"] == "step", f"the step oracle ran under {step['sim']['engine']}"
 assert block["sim"]["engine"] == "block", f"the block run ran under {block['sim']['engine']}"
-# Execute once, model many: the 229 configurations take 55 engine runs,
-# one per planned execution (43) plus extension-prefetch's 12
-# site-filtered runs.
+# Execute once, model many: the 229 configurations take 47 engine runs,
+# one per planned execution (43) plus one per extension-prefetch
+# benchmark, whose three site-filtered runs are requested together.
 for doc in (step, block):
     counts = (doc["sim"]["configurations"], doc["memo"]["misses"])
-    assert counts == (229, 55), \
+    assert counts == (229, 47), \
         f"{doc['sim']['engine']} run: {counts[0]} simulations over {counts[1]} executions"
 # Sections that are deterministic by contract. Scheduling-dependent
 # counters (workers, memo waits, per-pass hit splits under racing
@@ -229,7 +235,7 @@ line = f"({mc['total']} classified misses over {mc['classified_runs']} runs)"
 assert any(l.startswith("miss classes:") and line in l for l in report.splitlines()), \
     "--profile report lacks its miss classes line"
 print(f"determinism OK: both engines reproduce EXPERIMENTS.md; {len(names)} stages agree; "
-      "229 simulations over 55 executions")
+      "229 simulations over 47 executions")
 EOF
 
 echo "CI green"

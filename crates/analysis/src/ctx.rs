@@ -424,30 +424,33 @@ impl AnalysisCtx {
             .ok()
     }
 
-    /// The address-pattern analysis of every load, computed once per
-    /// program from the cached per-function CFGs and reaching
-    /// definitions.
+    /// The address-pattern analysis of every load under the ctx's
+    /// config: [`Self::analysis_with`], computed once per program.
     pub fn analysis(&self) -> &ProgramAnalysis {
         self.pass(
             "patterns",
             &self.inner.analysis,
             &self.inner.counters.patterns,
-            || {
-                let mut loads = Vec::new();
-                for i in 0..self.inner.funcs.len() {
-                    let rd = Arc::clone(self.reaching_at(i));
-                    let (func, _) = &self.inner.funcs[i];
-                    loads.extend(analyze_function(
-                        &self.inner.program,
-                        func,
-                        &rd,
-                        &self.inner.config,
-                    ));
-                }
-                loads.sort_by_key(|l| l.index);
-                ProgramAnalysis { loads }
-            },
+            || self.analysis_with(&self.inner.config),
         )
+    }
+
+    /// The address-pattern analysis of every load under `config`,
+    /// extracted afresh (not cached) from the cached per-function
+    /// CFGs and reaching definitions — the same result as
+    /// [`analyze_program`](crate::extract::analyze_program), without
+    /// rebuilding them. A sweep over extraction caps pays only for
+    /// the extraction.
+    #[must_use]
+    pub fn analysis_with(&self, config: &AnalysisConfig) -> ProgramAnalysis {
+        let mut loads = Vec::new();
+        for i in 0..self.inner.funcs.len() {
+            let rd = Arc::clone(self.reaching_at(i));
+            let (func, _) = &self.inner.funcs[i];
+            loads.extend(analyze_function(&self.inner.program, func, &rd, config));
+        }
+        loads.sort_by_key(|l| l.index);
+        ProgramAnalysis { loads }
     }
 
     /// The loop nests of every function, computed once per program
@@ -639,6 +642,28 @@ mod tests {
         let ctx = ctx();
         let direct = crate::extract::analyze_program(ctx.program(), ctx.config());
         assert_eq!(ctx.analysis().loads, direct.loads);
+    }
+
+    #[test]
+    fn analysis_with_matches_direct_analysis_without_recomputing() {
+        let ctx = ctx();
+        let _ = ctx.analysis();
+        let before = ctx.stats();
+        for (max_patterns, max_depth) in [(1, 2), (2, 16), (8, 4)] {
+            let config = AnalysisConfig {
+                max_patterns,
+                max_depth,
+                ..AnalysisConfig::default()
+            };
+            let direct = crate::extract::analyze_program(ctx.program(), &config);
+            assert_eq!(ctx.analysis_with(&config).loads, direct.loads);
+        }
+        // Only hits grow: no pass is recomputed, and the uncached
+        // extraction counts under no pass of its own.
+        let after = ctx.stats();
+        assert_eq!(after.misses(), before.misses());
+        assert_eq!(after.patterns, before.patterns);
+        assert!(after.reaching.hits > before.reaching.hits);
     }
 
     #[test]

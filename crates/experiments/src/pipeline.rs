@@ -18,7 +18,9 @@
 //! execution once and replays its access stream into every planned
 //! configuration of it that is not ready yet
 //! ([`dl_sim::run_many`]). Unplanned specs (runs derived at render
-//! time, ad-hoc requests) simulate alone.
+//! time, ad-hoc requests) simulate alone, or together with the other
+//! specs of their execution requested in the same
+//! [`Pipeline::run_specs`] call.
 //!
 //! Compilation and analysis are additionally memoized per
 //! `(benchmark, opt)` — independent of input set and cache geometry —
@@ -178,8 +180,8 @@ pub struct ConfigTiming {
     /// Seconds spent simulating. A shared execution's wall time is
     /// split: each configuration is charged the time its own memory
     /// model spent replaying the access stream, plus an equal share of
-    /// the rest (executing and recording), so the shares sum to the
-    /// execution's wall time.
+    /// the rest (executing, recording, and stripping the stream for the
+    /// plain models), so the shares sum to the execution's wall time.
     pub sim_secs: f64,
     /// Instructions the simulation executed.
     pub instructions: u64,
@@ -369,9 +371,10 @@ impl Pipeline {
     /// Runs (or returns the memoized run of) one configuration — the
     /// one way the experiments simulate, so every simulation the
     /// tables trigger shares the memo table, the compile cache and the
-    /// counters. A miss on a planned spec also computes every other
-    /// planned configuration of its execution that is not ready yet,
-    /// on this spec's benchmark (and so its input), in one engine run.
+    /// counters: [`Pipeline::run_specs`] of one spec. A miss on a
+    /// planned spec also computes every other planned configuration of
+    /// its execution that is not ready yet, on this spec's benchmark
+    /// (and so its input), in one engine run.
     ///
     /// # Panics
     ///
@@ -381,16 +384,43 @@ impl Pipeline {
     /// concurrent waiter simulates them instead of deadlocking.
     #[must_use]
     pub fn run_spec(&self, spec: &RunSpec) -> Arc<BenchRun> {
+        self.run_requested(spec, std::slice::from_ref(spec))
+    }
+
+    /// Runs (or returns the memoized runs of) `specs`, in order. A
+    /// miss computes, in one engine run, every configuration of its
+    /// execution that is still empty and either requested here or
+    /// planned — the plan joins when a requested spec of that
+    /// execution is planned — on the missed spec's benchmark (and so
+    /// its input). Runs derived from one base run, such as
+    /// `extension-prefetch`'s site-filtered ones, share an execution
+    /// this way.
+    ///
+    /// # Panics
+    ///
+    /// As [`Pipeline::run_spec`].
+    #[must_use]
+    pub fn run_specs(&self, specs: &[RunSpec]) -> Vec<Arc<BenchRun>> {
+        specs
+            .iter()
+            .map(|spec| self.run_requested(spec, specs))
+            .collect()
+    }
+
+    /// The run of `spec`, one of `requested`: a memo hit, or the miss
+    /// path shared by every request.
+    fn run_requested(&self, spec: &RunSpec, requested: &[RunSpec]) -> Arc<BenchRun> {
         let slot = self.slot(spec);
         if let Some(run) = slot.get() {
             self.counters.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(run);
         }
+        let execution = execution_of(spec);
         let lock = Arc::clone(
             self.execution_locks
                 .lock()
                 .expect("execution lock table")
-                .entry(execution_of(spec))
+                .entry(execution)
                 .or_default(),
         );
         // A thread that panicked mid-run poisons the lock and leaves
@@ -402,24 +432,30 @@ impl Pipeline {
             return Arc::clone(run);
         }
         self.counters.misses.fetch_add(1, Ordering::Relaxed);
-        let (specs, slots): (Vec<RunSpec>, Vec<Slot>) = match self.planned_execution(spec) {
-            // Every planned configuration of the execution still
-            // empty, on this spec's benchmark (and so its input).
-            Some(planned) => planned
-                .iter()
-                .filter_map(|planned| {
-                    let slot = self.slot(planned);
-                    slot.get().is_none().then(|| {
-                        let spec = RunSpec {
-                            bench: spec.bench.clone(),
-                            ..planned.clone()
-                        };
-                        (spec, slot)
-                    })
-                })
-                .unzip(),
-            None => (vec![spec.clone()], vec![Arc::clone(&slot)]),
-        };
+        let requested: Vec<&RunSpec> = requested
+            .iter()
+            .filter(|other| execution_of(other) == execution)
+            .collect();
+        let planned = requested
+            .iter()
+            .find_map(|other| self.planned_execution(other))
+            .unwrap_or_default();
+        // Every candidate still empty, once, on this spec's benchmark.
+        let mut specs: Vec<RunSpec> = Vec::new();
+        let mut slots: Vec<Slot> = Vec::new();
+        for candidate in planned.iter().chain(requested) {
+            if specs.contains(candidate) {
+                continue;
+            }
+            let slot = self.slot(candidate);
+            if slot.get().is_none() {
+                specs.push(RunSpec {
+                    bench: spec.bench.clone(),
+                    ..candidate.clone()
+                });
+                slots.push(slot);
+            }
+        }
         for (run, slot) in self.compute(&specs).into_iter().zip(slots) {
             // Entries of this execution fill only under its lock, so
             // each is still empty.
@@ -531,7 +567,8 @@ impl Pipeline {
             .unwrap_or_else(|e| panic!("{} trapped at {opt}: {e}", bench.name));
         let sim_secs = sim_start.elapsed().as_secs_f64();
         // Each configuration is charged its own model's replay time
-        // plus an equal share of the rest: executing and recording.
+        // plus an equal share of the rest: executing, recording and
+        // stripping.
         let replay_secs: f64 = outputs.iter().map(|out| out.replay_secs).sum();
         let shared_secs = (sim_secs - replay_secs).max(0.0) / specs.len() as f64;
         let instructions = outputs[0].result.instructions;
@@ -1016,6 +1053,58 @@ mod tests {
         }
         assert_eq!(grouped.stats().misses, 1);
         assert_eq!(alone.stats().misses, siblings.len() as u64);
+    }
+
+    #[test]
+    fn specs_requested_together_share_one_execution() {
+        use dl_sim::{Policy, Prefetch};
+        let b = dl_workloads::by_name("197.parser").expect("exists").smoke();
+        let program = b.compile(OptLevel::O0).expect("compiles");
+        let sites: Vec<usize> = (0..program.insts.len())
+            .filter(|&i| program.insts[i].is_load())
+            .step_by(2)
+            .collect();
+        let base = RunSpec::new(b, OptLevel::O0, 1, CacheConfig::paper_baseline());
+        // A plain model, a site-filtered prefetcher and a reuse
+        // measurement: none of them planned.
+        let specs = [
+            RunSpec {
+                memory: MemoryConfig {
+                    policy: Policy::Plru,
+                    ..MemoryConfig::default()
+                },
+                ..base.clone()
+            },
+            RunSpec {
+                memory: MemoryConfig {
+                    prefetch: Some(Prefetch::NextLine(1)),
+                    ..MemoryConfig::default()
+                },
+                prefetch_sites: Some(sites),
+                ..base.clone()
+            },
+            RunSpec {
+                reuse: true,
+                ..base.clone()
+            },
+        ];
+        let together = Pipeline::new();
+        let runs = together.run_specs(&specs);
+        let s = together.stats();
+        assert_eq!((s.misses, s.hits), (1, 2));
+        assert_eq!(together.simulations(), specs.len());
+        let alone = Pipeline::new().planned(&[]);
+        for (spec, run) in specs.iter().zip(&runs) {
+            let solo = alone.run_spec(spec);
+            assert_eq!(run.spec(), spec);
+            assert_eq!(run.result, solo.result, "{spec:?}");
+            assert_eq!(run.reuse.is_some(), solo.reuse.is_some(), "{spec:?}");
+        }
+        assert_eq!(alone.stats().misses, specs.len() as u64);
+        // Asked again, the batch is served from the memo.
+        let again = together.run_specs(&specs);
+        assert!(again.iter().zip(&runs).all(|(a, r)| Arc::ptr_eq(a, r)));
+        assert_eq!(together.stats().misses, 1);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use dl_analysis::extract::{analyze_program, AnalysisConfig};
+use dl_analysis::extract::AnalysisConfig;
 use dl_analysis::CacheGeometry;
 use dl_baselines::{Bdh, Okn, ProfilePredictor, ReusePredictor};
 use dl_core::combine::{combine_with_profiling, HybridMode};
@@ -698,10 +698,10 @@ pub fn ablation_patterns(p: &Pipeline) -> Table {
         };
         let (mut pis, mut rhos) = (vec![], vec![]);
         for run in &runs {
-            // Re-analyze the same binary under tighter caps; the
-            // simulation results are reused. (Non-default caps bypass
-            // the ctx cache deliberately.)
-            let analysis = analyze_program(run.program(), &cfg);
+            // Re-extract the same binary's patterns under tighter caps
+            // from its cached reaching definitions; the simulation
+            // results are reused.
+            let analysis = run.ctx().analysis_with(&cfg);
             let delta = h.classify(&analysis, &run.result.exec_counts);
             pis.push(pi(delta.len(), run.lambda()));
             rhos.push(rho(&run.result, &delta));
@@ -906,32 +906,35 @@ pub fn extension_prefetch(p: &Pipeline) -> Table {
     for name in names {
         let bench = dl_workloads::by_name(name).expect("known benchmark");
         let base = p.run(&bench, OptLevel::O0, 1, CacheConfig::paper_baseline());
-        let policies: [(usize, Vec<usize>); 3] = [
-            (0, h.predict(base.ctx())),
-            (1, profiling_set(base.program(), &base.result, HOT_FRACTION)),
-            (2, base.load_indices()),
+        let policies = [
+            h.predict(base.ctx()),
+            profiling_set(base.program(), &base.result, HOT_FRACTION),
+            base.load_indices(),
         ];
-        for (slot, sites) in policies {
-            accs[slot].pis.push(pi(sites.len(), base.lambda()));
-            // The sites come from the base run's profile, so the run
-            // derives from its spec (and keeps its input).
-            let run = p.run_spec(&RunSpec {
+        // The sites come from the base run's profile, so each run
+        // derives from its spec (and keeps its input); requested
+        // together, the three share one execution.
+        let specs: Vec<RunSpec> = policies
+            .iter()
+            .map(|sites| RunSpec {
                 memory: MemoryConfig {
                     prefetch: Some(Prefetch::NextLine(1)),
                     ..MemoryConfig::default()
                 },
-                prefetch_sites: Some(sites),
+                prefetch_sites: Some(sites.clone()),
                 ..base.spec().clone()
-            });
+            })
+            .collect();
+        let runs = p.run_specs(&specs);
+        for (acc, (sites, run)) in accs.iter_mut().zip(policies.iter().zip(&runs)) {
+            acc.pis.push(pi(sites.len(), base.lambda()));
             let result = &run.result;
             let before = base.result.load_misses_total;
             let after = result.load_misses_total;
             let removed = before.saturating_sub(after);
-            accs[slot]
-                .reductions
-                .push(removed as f64 / before.max(1) as f64);
-            accs[slot].issued += result.prefetches_issued;
-            accs[slot].removed += removed;
+            acc.reductions.push(removed as f64 / before.max(1) as f64);
+            acc.issued += result.prefetches_issued;
+            acc.removed += removed;
         }
     }
     for (slot, label) in [(0, "heuristic"), (1, "hot blocks"), (2, "all loads")] {
@@ -1533,8 +1536,9 @@ mod tests {
         }
         assert_eq!(p.stats().misses, names.len() as u64);
         let _ = extension_prefetch(&p);
-        // The base runs were siblings; only the 12 filtered runs ran.
-        assert_eq!(p.stats().misses, names.len() as u64 + 12);
+        // The base runs were siblings; the 12 filtered runs took one
+        // execution per benchmark.
+        assert_eq!(p.stats().misses, 2 * names.len() as u64);
         for run in p.ready_runs() {
             let spec = run.spec();
             let smoke = dl_workloads::by_name(spec.bench.name)

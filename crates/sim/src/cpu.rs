@@ -21,7 +21,7 @@ use crate::memory::MemoryConfig;
 use crate::observe::{MissObservatory, ObserveConfig};
 use crate::reuse::ReuseMeasurement;
 use crate::stats::RunResult;
-use crate::trace::{MemoryModel, TraceRecord, CHUNK};
+use crate::trace::{MemoryModel, MruFilter, TraceRecord, CHUNK};
 
 /// Syscall numbers recognized by the simulator (selected via `$v0`).
 pub mod syscalls {
@@ -205,6 +205,9 @@ pub struct Machine<'p> {
     models: Vec<MemoryModel>,
     /// Accesses recorded since the last replay, at most [`CHUNK`].
     chunk: Vec<TraceRecord>,
+    /// Strips each chunk for the plain models; built when a run
+    /// starts recording.
+    filter: Option<MruFilter>,
     /// Every recorded access, when [`crate::trace::capture_trace`]
     /// keeps the stream.
     kept: Option<Vec<TraceRecord>>,
@@ -258,6 +261,7 @@ impl<'p> Machine<'p> {
             model: MemoryModel::new(first, insts),
             models: rest.iter().map(|c| MemoryModel::new(c, insts)).collect(),
             chunk: Vec::with_capacity(CHUNK),
+            filter: None,
             kept: None,
         }
     }
@@ -307,14 +311,20 @@ impl<'p> Machine<'p> {
     }
 
     /// Replays the recorded chunk into every model (and the kept
-    /// trace), then empties it. Out of line: once per [`CHUNK`]
-    /// accesses.
+    /// trace), then empties it: the models the filter strips replay
+    /// only what it keeps, the others the full chunk. Out of line:
+    /// once per [`CHUNK`] accesses.
     #[cold]
     #[inline(never)]
     fn replay_chunk(&mut self) {
-        self.model.replay(&self.chunk);
-        for model in &mut self.models {
-            model.replay(&self.chunk);
+        if let Some(filter) = &mut self.filter {
+            filter.strip(&self.chunk);
+        }
+        for model in std::iter::once(&mut self.model).chain(&mut self.models) {
+            match &self.filter {
+                Some(filter) if filter.strips(model) => model.replay(filter.kept()),
+                _ => model.replay(&self.chunk),
+            }
         }
         if let Some(kept) = &mut self.kept {
             kept.extend_from_slice(&self.chunk);
@@ -615,6 +625,9 @@ impl<'p> Machine<'p> {
         mut self,
         max_steps: u64,
     ) -> Result<(Vec<TraceRecord>, Vec<SimOutput>), Trap> {
+        if self.records() {
+            self.filter = MruFilter::for_models(std::iter::once(&self.model).chain(&self.models));
+        }
         let block_stats = match self.engine {
             Engine::Step => {
                 self.run_steps(max_steps)?;
@@ -661,12 +674,16 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// True when the run must record its access stream: several
-    /// models, a kept trace, or one model whose observers must see
-    /// every access. Otherwise the block engine models the single
-    /// plain configuration inline.
+    /// True when the run must record its access stream: the step
+    /// engine always does; the block engine does for several models,
+    /// a kept trace, or one model whose observers must see every
+    /// access. Otherwise the block engine models the single plain
+    /// configuration inline, with no filter.
     fn records(&self) -> bool {
-        !self.models.is_empty() || self.kept.is_some() || !self.model.is_plain()
+        self.engine == Engine::Step
+            || !self.models.is_empty()
+            || self.kept.is_some()
+            || !self.model.is_plain()
     }
 
     /// Block-cached engine: decoded basic-block dispatch, in its

@@ -27,9 +27,10 @@
 //! point away from the way that was touched last; random: hits touch
 //! no state), and it cannot interact with the L2 (no miss, no victim).
 //! The block engine's one-compare MRU probe therefore stays valid for
-//! every policy and hierarchy; only the prefetcher — which must see
-//! every demand load it may trigger on — needs the recorded access
-//! stream (see [`crate::trace`]).
+//! every policy and hierarchy, and so does the trace filter that
+//! strips such hits from the stream the plain models replay (see
+//! [`crate::trace`]); only the prefetcher — which must see every
+//! demand load it may trigger on — needs the full recorded stream.
 
 use std::fmt;
 use std::str::FromStr;
@@ -520,6 +521,14 @@ impl MemorySystem {
     #[inline]
     pub(crate) fn hot_params(&self) -> u32 {
         self.l1.hot_params()
+    }
+
+    /// The fewest sets of any level: the finest direct-mapped filter
+    /// that may strip this hierarchy's stream (see
+    /// [`MruFilter`](crate::trace::MruFilter)).
+    pub(crate) fn fewest_sets(&self) -> u32 {
+        let l1 = self.l1.config().sets();
+        self.l2.as_ref().map_or(l1, |l2| l1.min(l2.config().sets()))
     }
 
     /// See [`Cache::mru_blocks`].

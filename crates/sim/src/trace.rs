@@ -12,7 +12,10 @@
 //! optional miss classifier, observatory and reuse measurement — so
 //! one execution prices any number of memory systems
 //! ([`crate::run_many`]) while peak memory stays independent of the
-//! trace length. [`capture_trace`] is the consumer that keeps every
+//! trace length. Each chunk is stripped once through a shared
+//! direct-mapped filter (`MruFilter`), and the plain models replay
+//! only the accesses it keeps: the rest are MRU hits that change no
+//! model's state. [`capture_trace`] is the consumer that keeps every
 //! chunk instead.
 //!
 //! # Example
@@ -66,6 +69,93 @@ pub struct TraceRecord {
 /// Accesses per recorded chunk: 48 KiB of records, small enough to
 /// stay cache-resident while every model replays it.
 pub(crate) const CHUNK: usize = 4096;
+
+/// Trace stripping (Puzak 1985; Wang & Baer, SIGMETRICS 1990): a
+/// direct-mapped tag array that keeps an access only when its block
+/// differs from the last block its filter set saw. The plain models
+/// of one execution replay what it keeps.
+///
+/// Exact for every plain model at the filter's block size, because
+/// each level of such a model has at least the filter's sets, and set
+/// counts are powers of two: each set of every level lies inside one
+/// filter set. A dropped access's block was the last its filter set
+/// saw, so since then no access has touched any L1 or L2 set inside
+/// that filter set, and no back-invalidation or exclusive-L2 victim
+/// has reached one either (both stay inside the set of the access
+/// that caused them). The block therefore still sits in the MRU way
+/// of its L1 set, and the access is a hit that changes no state in
+/// any level under any policy (the fast-path contract of
+/// [`crate::memory`]), so every miss counter stays exact. Prefetching
+/// and observing models must see every access and replay the full
+/// stream; so does a plain model at another block size.
+#[derive(Debug)]
+pub(crate) struct MruFilter {
+    /// log₂ of the block size.
+    shift: u32,
+    /// The filter's set count minus one.
+    set_mask: u32,
+    /// The last block each filter set saw (`u64::MAX`: none yet).
+    last: Vec<u64>,
+    /// The records of the last stripped chunk that the filter kept.
+    kept: Vec<TraceRecord>,
+}
+
+impl MruFilter {
+    /// The filter for the plain models among `models`: at the first
+    /// plain model's block size, with the fewest sets that any level
+    /// of a plain model has at that size. `None` when no model is
+    /// plain.
+    pub(crate) fn for_models<'a, I>(models: I) -> Option<MruFilter>
+    where
+        I: Iterator<Item = &'a MemoryModel> + Clone,
+    {
+        let shift = models
+            .clone()
+            .find(|model| model.is_plain())?
+            .system
+            .hot_params();
+        let sets = models
+            .filter(|model| Self::strips_at(shift, model))
+            .map(|model| model.system.fewest_sets())
+            .min()?;
+        Some(MruFilter {
+            shift,
+            set_mask: sets - 1,
+            last: vec![u64::MAX; sets as usize],
+            kept: Vec::with_capacity(CHUNK),
+        })
+    }
+
+    /// True when `model` replays the stripped stream.
+    pub(crate) fn strips(&self, model: &MemoryModel) -> bool {
+        Self::strips_at(self.shift, model)
+    }
+
+    /// True when a filter at block shift `shift` may strip `model`'s
+    /// stream: the model is plain and shares the block size.
+    fn strips_at(shift: u32, model: &MemoryModel) -> bool {
+        model.is_plain() && model.system.hot_params() == shift
+    }
+
+    /// Strips `chunk`, the next records of the stream, into
+    /// [`MruFilter::kept`].
+    pub(crate) fn strip(&mut self, chunk: &[TraceRecord]) {
+        self.kept.clear();
+        for rec in chunk {
+            let block = u64::from(rec.addr >> self.shift);
+            let last = &mut self.last[(block as u32 & self.set_mask) as usize];
+            if *last != block {
+                *last = block;
+                self.kept.push(*rec);
+            }
+        }
+    }
+
+    /// The records the last [`MruFilter::strip`] kept, in stream order.
+    pub(crate) fn kept(&self) -> &[TraceRecord] {
+        &self.kept
+    }
+}
 
 /// One configuration's memory model: its hierarchy, its miss counters
 /// and its optional observers, fed the access stream in program

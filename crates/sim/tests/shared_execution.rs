@@ -4,6 +4,12 @@
 //! the matrix, every geometry of the 8–64 KiB × 2/4/8-way sweep, a
 //! site-filtered next-line prefetcher, and each observer (reuse
 //! measurement, miss classification, the observatory).
+//!
+//! The plain models replay the stream stripped by one shared
+//! direct-mapped filter, so the list also holds the models that bound
+//! it: a direct-mapped L1 behind a 32-set L2 under every policy and
+//! both inclusions, and a plain geometry at another block size, which
+//! must replay the full stream.
 
 use dl_minic::OptLevel;
 use dl_mips::parse::parse_asm;
@@ -56,6 +62,7 @@ fn configs(program: &Program, base: &RunConfig) -> Vec<RunConfig> {
             });
         }
     }
+    v.extend(filter_bounds(base));
     let every_other_load: Vec<usize> = (0..program.insts.len())
         .filter(|&i| program.insts[i].is_load())
         .step_by(2)
@@ -101,6 +108,38 @@ fn configs(program: &Program, base: &RunConfig) -> Vec<RunConfig> {
     v
 }
 
+/// The plain models that bound the trace filter: an 8 KiB
+/// direct-mapped L1 (256 sets) behind a 16 KiB 16-way L2 (32 sets),
+/// inclusive under each policy and exclusive under LRU, and a 16 KiB
+/// 4-way L1 with 64-byte blocks, at a block size the filter does not
+/// run at.
+fn filter_bounds(base: &RunConfig) -> Vec<RunConfig> {
+    let direct_mapped = CacheConfig::kb(8, 1);
+    let l2 = |inclusion| Some(L2Config::kb(16, 16, inclusion));
+    let mut v: Vec<RunConfig> = [
+        (Policy::Lru, Inclusion::Inclusive),
+        (Policy::Plru, Inclusion::Inclusive),
+        (Policy::Random, Inclusion::Inclusive),
+        (Policy::Lru, Inclusion::Exclusive),
+    ]
+    .into_iter()
+    .map(|(policy, inclusion)| RunConfig {
+        cache: direct_mapped,
+        memory: MemoryConfig {
+            policy,
+            l2: l2(inclusion),
+            prefetch: None,
+        },
+        ..base.clone()
+    })
+    .collect();
+    v.push(RunConfig {
+        cache: CacheConfig::new(16 * 1024, 4, 64).expect("valid geometry"),
+        ..base.clone()
+    });
+    v
+}
+
 /// Everything deterministic two outputs of one configuration must
 /// share: the measurement record and every observer's findings.
 fn assert_same_output(shared: &SimOutput, alone: &SimOutput, what: &str) {
@@ -121,18 +160,17 @@ fn assert_same_output(shared: &SimOutput, alone: &SimOutput, what: &str) {
     assert_eq!(histograms(shared), histograms(alone), "{what}: reuse");
 }
 
-/// Models `program` under every configuration from one execution per
-/// engine and checks each output against an independent block-engine
-/// run of that configuration alone — every configuration, or those
-/// `checked` picks by index (the two shared executions still agree on
-/// all of them).
+/// Models `program` under every configuration of `configs` from one
+/// execution per engine and checks each output against an independent
+/// block-engine run of that configuration alone — every
+/// configuration, or those `checked` picks by index (the two shared
+/// executions still agree on all of them).
 fn assert_shared_equals_alone(
     program: &Program,
-    base: &RunConfig,
+    configs: &[RunConfig],
     name: &str,
     checked: impl Fn(usize) -> bool,
 ) {
-    let configs = configs(program, base);
     let shared: Vec<Vec<SimOutput>> = [Engine::Step, Engine::Block]
         .into_iter()
         .map(|engine| {
@@ -173,12 +211,10 @@ fn generated_programs_model_every_configuration_from_one_execution() {
         };
         // A generated program may hit the step limit; every config of
         // one execution must then trap alike, shared or alone.
+        let modeled = configs(&program, &base);
         match run_full(&program, &base) {
-            Ok(_) => assert_shared_equals_alone(&program, &base, "generated", |_| true),
-            Err(trap) => assert_eq!(
-                run_many(&program, &configs(&program, &base)).err(),
-                Some(trap)
-            ),
+            Ok(_) => assert_shared_equals_alone(&program, &modeled, "generated", |_| true),
+            Err(trap) => assert_eq!(run_many(&program, &modeled).err(), Some(trap)),
         }
     });
 }
@@ -200,7 +236,8 @@ fn check_bundled_workloads(half: usize) {
             input: bench.input1.clone(),
             ..RunConfig::default()
         };
-        assert_shared_equals_alone(&program, &base, bench.name, |i| i % SHARE == w % SHARE);
+        let modeled = configs(&program, &base);
+        assert_shared_equals_alone(&program, &modeled, bench.name, |i| i % SHARE == w % SHARE);
     }
 }
 
@@ -213,6 +250,67 @@ fn bundled_workloads_model_every_configuration_from_one_execution() {
 #[test]
 fn more_bundled_workloads_model_every_configuration_from_one_execution() {
     check_bundled_workloads(1);
+}
+
+/// Rounds of [`back_invalidation_program`].
+const ROUNDS: u64 = 8;
+
+/// Each round loads block A, then 24 blocks 1, 3, …, 47 KiB past it:
+/// all in A's set of a 32-set L2, none in A's set of an 8 KiB
+/// direct-mapped L1 or of any 64-set filter. An inclusive 16-way L2
+/// evicts A and back-invalidates it from the L1 between two of its
+/// accesses, so the next round's access to A misses, while a filter
+/// finer than the L2 would see only A in its set and drop it.
+fn back_invalidation_program() -> Program {
+    parse_asm(&format!(
+        "main:\n\
+         \tlui $a0, 1\n\
+         \tli $v0, 9\n\
+         \tsyscall\n\
+         \tmove $s0, $v0\n\
+         \tli $t0, {ROUNDS}\n\
+         .Lround:\n\
+         \tlw $t1, 0($s0)\n\
+         \tli $t2, 1024\n\
+         \tli $t3, 24\n\
+         .Lsweep:\n\
+         \taddu $t4, $s0, $t2\n\
+         \tlw $t1, 0($t4)\n\
+         \taddiu $t2, $t2, 2048\n\
+         \taddiu $t3, $t3, -1\n\
+         \tbgtz $t3, .Lsweep\n\
+         \taddiu $t0, $t0, -1\n\
+         \tbgtz $t0, .Lround\n\
+         \tli $v0, 10\n\
+         \tli $a0, 0\n\
+         \tsyscall\n"
+    ))
+    .expect("parses")
+}
+
+#[test]
+fn back_invalidation_between_two_accesses_survives_stripping() {
+    let program = back_invalidation_program();
+    // Alone with a 64-set L1, the L2 models bound the filter: a
+    // filter at the L1's 256 or 64 sets would drop A's accesses.
+    let mut configs = vec![RunConfig {
+        cache: CacheConfig::paper_baseline(),
+        ..RunConfig::default()
+    }];
+    configs.extend(filter_bounds(&RunConfig::default()));
+    assert_shared_equals_alone(&program, &configs, "back-invalidation", |_| true);
+    let a = program
+        .insts
+        .iter()
+        .position(|inst| inst.is_load())
+        .expect("A's load");
+    let out = run_full(&program, &configs[1]).expect("runs clean");
+    assert_eq!(
+        out.result.load_misses[a], ROUNDS,
+        "the inclusive LRU L2 back-invalidates A every round"
+    );
+    let exclusive = run_full(&program, &configs[4]).expect("runs clean");
+    assert_eq!(exclusive.result.load_misses[a], 1, "A stays in the L1");
 }
 
 #[test]

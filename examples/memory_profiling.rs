@@ -7,7 +7,10 @@
 //! execute it once, replay its recorded access stream into a sweep of
 //! cache geometries, and compare the trace-derived delinquent sets
 //! against what the *static* heuristic flagged without ever running
-//! the program.
+//! the program. The simulator strips the stream once through a
+//! direct-mapped filter sized to the sweep's smallest set count, so
+//! each geometry replays only the accesses that can change its state
+//! (Puzak's trace stripping) — the classic answer to that cost.
 //!
 //! ```text
 //! cargo run --release --example memory_profiling [benchmark-name]
