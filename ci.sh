@@ -130,29 +130,61 @@ EOF
 grep -q "epoch = 8192 loads" /tmp/ci_top.out
 grep -q "heur okn bdh reuse" /tmp/ci_top.out
 test -s /tmp/ci_dlc_trace.json
-# The observatory must never perturb the simulation itself: stdout of
-# a plain run is byte-identical whether or not `top` instrumented it.
-./target/release/dlc run /tmp/ci_top.mc --input 20000 > /tmp/ci_run_plain.out 2>/dev/null
-./target/release/dlc run /tmp/ci_top.mc --input 20000 --engine step > /tmp/ci_run_step.out 2>/dev/null
-cmp /tmp/ci_run_plain.out /tmp/ci_run_step.out
+# `dlc run` of the scan kernel under the given flags, with stdout and
+# stderr saved as /tmp/ci_run_<name>.out and .err.
+dlc_run() {
+  local name=$1
+  shift
+  ./target/release/dlc run /tmp/ci_top.mc --input 20000 "$@" \
+    > "/tmp/ci_run_$name.out" 2> "/tmp/ci_run_$name.err"
+}
+# What a run measured, from its stderr: the summary up to `exit N`
+# (instructions, loads, load misses, exit code; the host-dependent
+# `M insts/s` is dropped) and the `[memory ...]` line, if any.
+run_report() {
+  sed -n -e 's/^\(\[[0-9]* instructions, .*, exit -\{0,1\}[0-9]*\), [0-9]*M insts\/s\]$/\1]/p' \
+    -e '/^\[memory /p' "$1"
+}
+# Two runs agree when they print the same values (stdout) and report
+# the same measurement.
+same_run() {
+  cmp "/tmp/ci_run_$1.out" "/tmp/ci_run_$2.out"
+  run_report "/tmp/ci_run_$1.err" | grep -q "load misses, exit 0]"
+  cmp <(run_report "/tmp/ci_run_$1.err") <(run_report "/tmp/ci_run_$2.err")
+}
+# A plain block-engine run, whose one plain model replays the stream
+# the MRU filter strips, must agree with the same run under the step
+# engine and with the run under `--profile`, whose classifying model
+# replays every access.
+dlc_run plain
+dlc_run step --engine step
+dlc_run profile --profile
+same_run plain step
+same_run plain profile
 echo "dlc top OK"
 
 echo "== dlc memory-system smoke =="
 # The memory flags reshape the simulated hierarchy: a stride
 # prefetcher must hide misses on the scan kernel (the `top` report
-# grows a hidden column), a non-default config must report itself on
-# stderr, and the step engine must agree byte-for-byte under the full
-# stack (non-LRU policy + L2 + prefetch).
+# grows a hidden column), and a non-default config must report itself
+# on stderr. Under the full stack (non-LRU policy + L2 + prefetch) the
+# step engine must print the same values and report the same
+# measurement, L2 and prefetch counts included. A plain PLRU + L2 run
+# strips its stream at the fewest sets of its two levels, and must
+# agree with the same run under `--profile`, which replays every
+# access.
 ./target/release/dlc top /tmp/ci_top.mc --input 20000 --epoch 8192 --limit 5 \
   --prefetch 2 > /tmp/ci_top_pf.out 2>&1
 grep -q "hidden" /tmp/ci_top_pf.out
 grep -q "hidden by prefetch" /tmp/ci_top_pf.out
-./target/release/dlc run /tmp/ci_top.mc --input 20000 \
-  --policy plru --l2 64 --prefetch 2 > /tmp/ci_run_mem.out 2>/tmp/ci_run_mem.err
+dlc_run mem --policy plru --l2 64 --prefetch 2
 grep -q "memory plru" /tmp/ci_run_mem.err
-./target/release/dlc run /tmp/ci_top.mc --input 20000 --engine step \
-  --policy plru --l2 64 --prefetch 2 > /tmp/ci_run_mem_step.out 2>/dev/null
-cmp /tmp/ci_run_mem.out /tmp/ci_run_mem_step.out
+dlc_run mem_step --engine step --policy plru --l2 64 --prefetch 2
+same_run mem mem_step
+dlc_run l2 --policy plru --l2 64
+grep -q "memory plru+l2:64KB-8w-incl: L2 [0-9]* hits" /tmp/ci_run_l2.err
+dlc_run l2_profile --policy plru --l2 64 --profile
+same_run l2 l2_profile
 echo "dlc memory flags OK"
 
 echo "== repository benchmark: own tests, smoke run, perf-regression gate =="

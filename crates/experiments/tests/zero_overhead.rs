@@ -75,10 +75,10 @@ fn observed_tables_are_byte_identical_to_unobserved() {
 }
 
 /// The zero-overhead guarantee holds under *both* simulator cores, and
-/// the cores agree with each other: classification makes the block
-/// engine record its access stream for the models to replay, so this
-/// also pins the inline fast path and the recorded path to identical
-/// table output.
+/// the cores agree with each other: classification makes every model
+/// replay the full access stream, so this also pins the stripped
+/// stream the plain models replay and the full one to identical table
+/// output.
 #[test]
 fn observed_tables_identical_across_engines() {
     let step_off = render_with(false, Engine::Step);

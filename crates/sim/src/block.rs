@@ -1,7 +1,7 @@
 //! Block-cached execution engine.
 //!
-//! The reference interpreter ([`Machine::step`]) fetches, decodes and
-//! dispatches one [`dl_mips::inst::Inst`] per call, and pays per-step
+//! The reference interpreter ([`Engine::Step`]) fetches, decodes and
+//! dispatches one [`dl_mips::inst::Inst`] per step, and pays per-step
 //! accounting (execution counts, the step-limit compare, the
 //! termination check) on every instruction. This module replaces that
 //! inner loop with an r2vm-style block cache: straight-line runs of
@@ -18,7 +18,7 @@
 //! and `jal`/`jalr` link values become the final return PC.
 //!
 //! Programs are immutable for the lifetime of a run and the cache is
-//! private to a single [`Machine`], so there are no invalidation
+//! private to a single run, so there are no invalidation
 //! rules: a decoded block can never go stale. Blocks may overlap (a
 //! branch into the middle of a decoded block simply decodes a second,
 //! shorter block); the per-block retirement counters account for this
@@ -28,7 +28,9 @@
 //! Equivalence with the reference engine — including exact `max_steps`
 //! semantics, trap attribution to the precise faulting instruction
 //! index, and byte-identical [`crate::RunResult`]s — is checked by the
-//! differential tests in `tests/engine_differential.rs`.
+//! differential tests in `tests/engine_differential.rs`. Both engines
+//! hand every data access to the same recorder (see [`crate::trace`]),
+//! so the memory models see one stream whichever engine produced it.
 
 use std::fmt;
 use std::str::FromStr;
@@ -39,7 +41,6 @@ use dl_mips::program::Program;
 use dl_mips::reg::Reg;
 
 use crate::cpu::{Machine, Trap};
-use crate::memory::MemorySystem;
 use crate::stats::RunResult;
 
 /// Which interpreter core executes a run.
@@ -49,7 +50,7 @@ use crate::stats::RunResult;
 /// engine is differentially tested against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Reference path: one decoded [`Inst`] per [`Machine::step`] call.
+    /// Reference path: one decoded [`Inst`] per interpreter step.
     Step,
     /// Block-cached path: pre-decoded basic blocks, batched accounting.
     #[default]
@@ -448,40 +449,6 @@ enum Term {
         link: u32,
     },
     Syscall,
-    // Fused compare-and-branch: a trailing `slt`/`slti` whose result
-    // feeds a `beq`/`bne` against `$zero` is folded into the
-    // terminator ([`fuse_term`]). The compare result is still written
-    // to `rd` (later code may read it); the branch then tests the
-    // written register, preserving exact sequential semantics even
-    // when `rd` is `$zero`.
-    /// `slt rd, rs, rt` then `beq rd, $zero, taken`.
-    SltBeqz {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        taken: u32,
-    },
-    /// `slt rd, rs, rt` then `bne rd, $zero, taken`.
-    SltBnez {
-        rd: u8,
-        rs: u8,
-        rt: u8,
-        taken: u32,
-    },
-    /// `slti rd, rs, imm` then `beq rd, $zero, taken`.
-    SltiBeqz {
-        rd: u8,
-        rs: u8,
-        imm: i32,
-        taken: u32,
-    },
-    /// `slti rd, rs, imm` then `bne rd, $zero, taken`.
-    SltiBnez {
-        rd: u8,
-        rs: u8,
-        imm: i32,
-        taken: u32,
-    },
 }
 
 /// One decoded superblock: a straight-line body plus one terminator.
@@ -714,7 +681,6 @@ fn decode_block(program: &Program, start: usize) -> Block {
         }
     };
     ranges.push((seg_start as u32, (i - seg_start) as u32));
-    let term = fuse_term(&mut body, term);
     let body = fuse_body(body);
     Block {
         start: u32::try_from(start).expect("program too large"),
@@ -726,50 +692,6 @@ fn decode_block(program: &Program, start: usize) -> Block {
         body: body.into_boxed_slice(),
         term,
     }
-}
-
-/// Folds a trailing compare into a `beq`/`bne`-against-`$zero`
-/// terminator, popping the compare off the body. Runs before
-/// [`fuse_body`] so the compare is still a standalone op.
-fn fuse_term(body: &mut Vec<Op>, term: Term) -> Term {
-    let zero_test = |brs: u8, brt: u8, rd: u8| (brs == rd && brt == 0) || (brs == 0 && brt == rd);
-    let fused = match (body.last(), term) {
-        (
-            Some(&Op::Slt { rd, rs, rt }),
-            Term::Beq {
-                rs: brs,
-                rt: brt,
-                taken,
-            },
-        ) if zero_test(brs, brt, rd) => Term::SltBeqz { rd, rs, rt, taken },
-        (
-            Some(&Op::Slt { rd, rs, rt }),
-            Term::Bne {
-                rs: brs,
-                rt: brt,
-                taken,
-            },
-        ) if zero_test(brs, brt, rd) => Term::SltBnez { rd, rs, rt, taken },
-        (
-            Some(&Op::Slti { rt: rd, rs, imm }),
-            Term::Beq {
-                rs: brs,
-                rt: brt,
-                taken,
-            },
-        ) if zero_test(brs, brt, rd) => Term::SltiBeqz { rd, rs, imm, taken },
-        (
-            Some(&Op::Slti { rt: rd, rs, imm }),
-            Term::Bne {
-                rs: brs,
-                rt: brt,
-                taken,
-            },
-        ) if zero_test(brs, brt, rd) => Term::SltiBnez { rd, rs, imm, taken },
-        _ => return term,
-    };
-    body.pop();
-    fused
 }
 
 /// Greedy left-to-right peephole pass combining adjacent op pairs
@@ -1127,22 +1049,6 @@ fn decode_op(inst: Inst, at: u32, loads: &mut u32, stores: &mut u32) -> Op {
     }
 }
 
-/// Cache address-decode geometry, hoisted into locals once per run so
-/// the per-access fast path computes set and tag from registers
-/// instead of reloading `Cache` fields per access.
-#[derive(Clone, Copy)]
-struct CacheView {
-    set_shift: u32,
-}
-
-impl CacheView {
-    fn new(cache: &MemorySystem) -> Self {
-        CacheView {
-            set_shift: cache.hot_params(),
-        }
-    }
-}
-
 /// Reads a register. The mask proves the index in-bounds so the
 /// bounds check folds away.
 #[inline(always)]
@@ -1158,24 +1064,25 @@ fn w(m: &mut Machine<'_>, reg: u8, v: u32) {
     }
 }
 
-/// Executes one straight-line op. `RECORD` appends each data access
-/// to the recorded stream the memory models replay; the fast path
-/// models the one plain configuration inline. Both batch load/store
-/// totals at block retirement.
+/// Executes one straight-line op. Each data access is recorded for
+/// the memory models (see [`Machine::record`]); load/store totals are
+/// batched at block retirement, and no per-site hits are counted: a
+/// site's hits are `exec_counts - load_misses`, since every execution
+/// of a load site is exactly one access.
 #[inline(always)]
-fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> Result<(), Trap> {
+fn exec_op(m: &mut Machine<'_>, op: &Op) -> Result<(), Trap> {
     match *op {
         Op::Lw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
         }
         Op::Lb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -1185,7 +1092,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         Op::Lbu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = m
                 .mem
                 .read_u8(addr)
@@ -1195,7 +1102,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         Op::Lh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -1205,7 +1112,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         Op::Lhu { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = m
                 .mem
                 .read_u16(addr)
@@ -1215,13 +1122,13 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         Op::Sw { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, true);
             mem_write(m, at, addr, r(m, rt))?;
         }
         Op::Sb { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, true);
             m.mem
                 .write_u8(addr, r(m, rt) as u8)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -1229,7 +1136,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         Op::Sh { rt, base, off, at } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            store_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, true);
             m.mem
                 .write_u16(addr, r(m, rt) as u16)
                 .map_err(|fault| Trap::Mem { at, fault })?;
@@ -1287,7 +1194,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, imm);
@@ -1303,7 +1210,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rt2, r(m, rs2).wrapping_add(imm));
@@ -1319,7 +1226,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rt2) << shamt);
@@ -1335,7 +1242,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
         } => {
             let at = at as usize;
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt, v);
             w(m, rd, r(m, rs).wrapping_add(r(m, rt2)));
@@ -1352,7 +1259,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            load_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, false);
             let v = mem_read(m, at, addr)?;
             w(m, rt2, v);
         }
@@ -1368,7 +1275,7 @@ fn exec_op<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, op: &Op) -> R
             let at = at as usize;
             w(m, rd, r(m, rs).wrapping_add(r(m, rt)));
             let addr = r(m, base).wrapping_add(off);
-            store_access::<RECORD>(m, cv, at, addr);
+            m.record(at, addr, true);
             mem_write(m, at, addr, r(m, rt2))?;
         }
         Op::LiAddu {
@@ -1411,75 +1318,6 @@ fn mem_write(m: &mut Machine<'_>, at: usize, addr: u32, v: u32) -> Result<(), Tr
     m.mem
         .write_u32(addr, v)
         .map_err(|fault| Trap::Mem { at, fault })
-}
-
-/// Load-slot cache access. Recording: append it to the stream. Fast
-/// path: an access that hits the set's MRU way changes no replacement
-/// state, so it is answered with one compare ([`mru_hit`]) using the
-/// hoisted [`CacheView`] geometry; everything else funnels through
-/// [`MemorySystem::demand_access`]. Only misses update counters —
-/// `loads`/`dcache_accesses` totals are batched per block retirement,
-/// and no per-site hits are recorded: a site's hits are `exec_counts -
-/// load_misses` (every execution of a load site is exactly one access).
-#[inline(always)]
-fn load_access<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
-    if RECORD {
-        m.record(at, addr, false);
-        return;
-    }
-    if mru_hit(m, cv, addr) {
-        return;
-    }
-    load_access_slow(m, at, addr);
-}
-
-/// Non-MRU load access: full memory-system walk plus miss counters.
-/// Force-inlined: letting the inliner decide here has measured as a
-/// double-digit-percent throughput difference between otherwise
-/// identical binaries (the engine loop's register allocation changes
-/// around an opaque call), and the inlined form won.
-#[inline(always)]
-fn load_access_slow(m: &mut Machine<'_>, at: usize, addr: u32) {
-    let model = &mut m.model;
-    if !model.system.demand_access(addr).hit {
-        model.load_misses[at] += 1;
-        model.load_misses_total += 1;
-        model.dcache_misses += 1;
-    }
-}
-
-/// Store-slot cache access; `stores` totals are batched per block.
-#[inline(always)]
-fn store_access<const RECORD: bool>(m: &mut Machine<'_>, cv: CacheView, at: usize, addr: u32) {
-    if RECORD {
-        m.record(at, addr, true);
-        return;
-    }
-    if mru_hit(m, cv, addr) {
-        return;
-    }
-    store_access_slow(m, addr);
-}
-
-/// Non-MRU store access. Inlined like [`load_access_slow`].
-#[inline(always)]
-fn store_access_slow(m: &mut Machine<'_>, addr: u32) {
-    let model = &mut m.model;
-    if !model.system.demand_access(addr).hit {
-        model.dcache_misses += 1;
-    }
-}
-
-/// The fast-path MRU probe: true iff `addr` hits the MRU way of its
-/// set, in which case the access is a hit with no state to update.
-#[inline(always)]
-fn mru_hit(m: &Machine<'_>, cv: CacheView, addr: u32) -> bool {
-    let block = u64::from(addr >> cv.set_shift);
-    let mru = m.model.system.mru_blocks();
-    // The set count is a power of two, so masking by `len - 1` keeps
-    // the index in bounds and the bounds check folds away.
-    let set = (block as usize) & (mru.len() - 1);
-    mru[set] == block
 }
 
 /// Executes a terminator, returning the successor instruction index.
@@ -1544,36 +1382,9 @@ fn exec_term(m: &mut Machine<'_>, term: &Term, at: usize, fall: usize) -> Result
         }
         Term::Syscall => {
             m.syscall(at)?;
-            fall
-        }
-        Term::SltBeqz { rd, rs, rt, taken } => {
-            w(m, rd, u32::from((r(m, rs) as i32) < (r(m, rt) as i32)));
-            if r(m, rd) == 0 {
-                taken as usize
-            } else {
-                fall
-            }
-        }
-        Term::SltBnez { rd, rs, rt, taken } => {
-            w(m, rd, u32::from((r(m, rs) as i32) < (r(m, rt) as i32)));
-            if r(m, rd) != 0 {
-                taken as usize
-            } else {
-                fall
-            }
-        }
-        Term::SltiBeqz { rd, rs, imm, taken } => {
-            w(m, rd, u32::from((r(m, rs) as i32) < imm));
-            if r(m, rd) == 0 {
-                taken as usize
-            } else {
-                fall
-            }
-        }
-        Term::SltiBnez { rd, rs, imm, taken } => {
-            w(m, rd, u32::from((r(m, rs) as i32) < imm));
-            if r(m, rd) != 0 {
-                taken as usize
+            // An exit ends the run like falling off the entry function.
+            if m.finished.is_some() {
+                m.halt_index
             } else {
                 fall
             }
@@ -1581,86 +1392,55 @@ fn exec_term(m: &mut Machine<'_>, term: &Term, at: usize, fall: usize) -> Result
     })
 }
 
-/// The block-dispatch outer loop, in two instantiations: `RECORD`
-/// appends every data access to the recorded stream (see
-/// [`crate::trace`]); the fast path models the run's one plain
-/// configuration inline. The caller expands `exec_counts` and access
-/// totals and finalizes the result.
+/// The block-dispatch outer loop: every data access goes to
+/// [`Machine::record`], as under the step engine. The caller expands
+/// `exec_counts` and access totals and finalizes the result.
 ///
 /// `max_steps` is exact: a block that would overshoot the limit is
 /// split, executing only the instructions the budget still allows (so
 /// traps inside the prefix still surface first) before reporting
 /// [`Trap::StepLimit`] — byte-for-byte the reference engine's
 /// behaviour.
-pub(crate) fn run_blocks<const RECORD: bool>(
+pub(crate) fn run_blocks(
     m: &mut Machine<'_>,
     bc: &mut BlockCache,
     max_steps: u64,
 ) -> Result<(), Trap> {
     debug_assert!(m.finished.is_none(), "run after termination");
-    debug_assert!(
-        RECORD || m.model.is_plain(),
-        "an instrumented model requires the recorded stream"
-    );
-    let cv = CacheView::new(&m.model.system);
     let halt = m.halt_index;
     let mut pc = m.pc;
-    let mut instructions = m.result.instructions;
-    'dispatch: loop {
+    // Instructions the step limit still allows.
+    let start_budget = max_steps.saturating_sub(m.result.instructions);
+    let mut budget = start_budget;
+    loop {
         let bid = bc.block_id(m.program, pc);
         let block = &bc.blocks[bid];
-        let start = block.start as usize;
         let len = u64::from(block.len);
-        // Only a syscall terminator can set `finished`, so hoist that
-        // test out of the re-entry path.
-        let is_syscall = matches!(block.term, Term::Syscall);
-        // Repetitions of this block not yet flushed to `bc.retired`.
-        let mut reps: u64 = 0;
-        // Self-loop fast path: a block whose terminator re-enters its
-        // own start (the shape of every hot inner loop once chaining
-        // folds the back-edge in) re-executes without touching the id
-        // map or the block table, with retirement batched in `reps`.
-        loop {
-            let remaining = max_steps.saturating_sub(instructions);
-            if len > remaining {
-                // Final partial block: remaining < len implies
-                // remaining fits in the body (the terminator is the
-                // +1). Trapping runs discard results, so the `reps`
-                // flush is cosmetic.
-                bc.retired[bid] += reps;
-                return run_partial(m, start, remaining as usize, max_steps);
-            }
-            for op in &block.body {
-                exec_op::<RECORD>(m, cv, op)?;
-            }
-            // The terminator instruction's own index is the final
-            // segment's last (fusion and chaining mean body op count
-            // and start + len no longer track it).
-            let fall = block.fall as usize;
-            let next = exec_term(m, &block.term, fall - 1, fall)?;
-            instructions += len;
-            reps += 1;
-            if next != start {
-                bc.retired[bid] += reps;
-                if m.finished.is_some() {
-                    break 'dispatch;
-                }
-                if next == halt {
-                    // Fell off the entry function: $v0 is the exit
-                    // code.
-                    m.finished = Some(m.reg(Reg::V0) as i32);
-                    break 'dispatch;
-                }
-                pc = next;
-                break;
-            }
-            if is_syscall && m.finished.is_some() {
-                bc.retired[bid] += reps;
-                break 'dispatch;
-            }
+        if len > budget {
+            // Final partial block: budget < len implies the budget
+            // fits in the body (the terminator is the +1).
+            return run_partial(m, block.start as usize, budget as usize, max_steps);
         }
+        for op in &block.body {
+            exec_op(m, op)?;
+        }
+        // The terminator instruction's own index is the final
+        // segment's last (fusion and chaining mean body op count and
+        // start + len no longer track it).
+        let fall = block.fall as usize;
+        let next = exec_term(m, &block.term, fall - 1, fall)?;
+        budget -= len;
+        bc.retired[bid] += 1;
+        if next == halt {
+            // Exited, or fell off the entry function: then $v0 is the
+            // exit code.
+            let v0 = m.reg(Reg::V0) as i32;
+            m.finished.get_or_insert(v0);
+            break;
+        }
+        pc = next;
     }
-    m.result.instructions = instructions;
+    m.result.instructions += start_budget - budget;
     Ok(())
 }
 

@@ -403,24 +403,12 @@ impl Cache {
         self.cfg
     }
 
-    /// The block-offset shift (log2 of the block size) for callers
-    /// that hoist it out of an access loop (the block engine's fast
-    /// path computes block numbers from registers instead of
-    /// reloading this field per access).
+    /// The block-offset shift (log2 of the block size): the hierarchy
+    /// computes block numbers with it, and the trace filter runs at
+    /// the block size it names.
     #[inline]
     pub(crate) fn hot_params(&self) -> u32 {
         self.set_shift
-    }
-
-    /// The per-set MRU block-number table (length = number of sets, a
-    /// power of two; a block's set is `block & (sets - 1)`). An access
-    /// whose block number matches its set's entry is a hit that
-    /// changes no replacement state, so the block engine's fast path
-    /// answers it with one compare and skips [`Cache::access`]
-    /// entirely; [`crate::RunResult`] counts hits and misses itself.
-    #[inline(always)]
-    pub(crate) fn mru_blocks(&self) -> &[u64] {
-        &self.mru
     }
 
     /// Simulates one access to `addr`, returning `true` on hit.

@@ -21,7 +21,7 @@ use crate::memory::MemoryConfig;
 use crate::observe::{MissObservatory, ObserveConfig};
 use crate::reuse::ReuseMeasurement;
 use crate::stats::RunResult;
-use crate::trace::{MemoryModel, MruFilter, TraceRecord, CHUNK};
+use crate::trace::{MemoryModel, MruFilter, TraceRecord};
 
 /// Syscall numbers recognized by the simulator (selected via `$v0`).
 pub mod syscalls {
@@ -125,16 +125,16 @@ pub struct RunConfig {
     /// by default.
     pub classify_misses: bool,
     /// Collect epoch-windowed per-load-site miss counts into
-    /// [`SimOutput::observatory`] (see [`crate::observe`]). The block
-    /// engine then records the access stream for the model; off by
-    /// default.
+    /// [`SimOutput::observatory`] (see [`crate::observe`]). The model
+    /// then replays the full access stream, not the stripped one; off
+    /// by default.
     pub observe: Option<ObserveConfig>,
     /// Measure per-load-site reuse-distance histograms over a shadow
     /// LRU stack into [`SimOutput::reuse`] (see [`crate::reuse`]) —
     /// the ground truth for the static reuse profiles. The stack is a
     /// second instance of the classifier's, fed demand accesses only.
-    /// The block engine then records the access stream for the model;
-    /// off by default.
+    /// The model then replays the full access stream, not the stripped
+    /// one; off by default.
     pub reuse_profile: bool,
     /// Which interpreter core executes the run. Both produce identical
     /// results; see [`Engine`]. Defaults to [`Engine::Block`].
@@ -175,15 +175,17 @@ pub struct SimOutput {
     /// Measured reuse-distance histograms (only when
     /// [`RunConfig::reuse_profile`] was set).
     pub reuse: Option<ReuseMeasurement>,
-    /// Wall seconds spent replaying the recorded access stream into
-    /// this configuration's memory model; 0 when the block engine
-    /// modeled it inline. A timing, not a measurement of the program.
+    /// Wall seconds spent replaying the recorded access stream (the
+    /// stripped one for a plain model) into this configuration's
+    /// memory model. A timing, not a measurement of the program.
     pub replay_secs: f64,
 }
 
-/// The simulator state; use [`run`] unless you need single-stepping.
+/// The simulator state behind [`run`] and its siblings: one
+/// execution, and one memory model per configuration fed its access
+/// stream.
 #[derive(Debug)]
-pub struct Machine<'p> {
+pub(crate) struct Machine<'p> {
     pub(crate) program: &'p Program,
     pub(crate) regs: [u32; 32],
     pub(crate) pc: usize,
@@ -198,39 +200,45 @@ pub struct Machine<'p> {
     pub(crate) finished: Option<i32>,
     // Which interpreter core run_* methods use.
     engine: Engine,
-    /// The first configuration's memory model. The block engine's
-    /// fast path probes and counts into it inline.
-    pub(crate) model: MemoryModel,
-    /// The other configurations' models, fed the same stream.
+    /// One memory model per configuration, fed the same stream.
     models: Vec<MemoryModel>,
-    /// Accesses recorded since the last replay, at most [`CHUNK`].
-    chunk: Vec<TraceRecord>,
-    /// Strips each chunk for the plain models; built when a run
-    /// starts recording.
-    filter: Option<MruFilter>,
+    /// Drops the accesses no model needs, when every model replays the
+    /// stripped stream; otherwise keeps every access. What it keeps
+    /// between two replays, at most [`CHUNK`](crate::trace::CHUNK)
+    /// records, is the stream every model replays but those `plain`
+    /// strips.
+    filter: MruFilter,
+    /// Strips the stream for the plain models when `filter` keeps
+    /// every access because some other model, or a kept trace, needs
+    /// it.
+    plain: Option<MruFilter>,
     /// Every recorded access, when [`crate::trace::capture_trace`]
     /// keeps the stream.
-    kept: Option<Vec<TraceRecord>>,
+    trace: Option<Vec<TraceRecord>>,
 }
 
 impl<'p> Machine<'p> {
     /// Prepares a machine at the program's entry point.
-    #[must_use]
-    pub fn new(program: &'p Program, config: &RunConfig) -> Self {
-        Machine::with_models(program, std::slice::from_ref(config))
+    pub(crate) fn new(program: &'p Program, config: &RunConfig) -> Self {
+        Machine::with_models(program, std::slice::from_ref(config), false)
     }
 
     /// A machine executing under `configs[0]`'s execution settings and
-    /// modeling every config's memory system.
+    /// modeling every config's memory system; with `keep_trace`, it
+    /// also keeps every recorded access for [`Machine::run_recorded`].
     ///
     /// # Panics
     ///
     /// Panics if `configs` is empty or its configs describe different
     /// executions.
-    fn with_models(program: &'p Program, configs: &[RunConfig]) -> Self {
-        let (first, rest) = configs.split_first().expect("at least one config");
+    pub(crate) fn with_models(
+        program: &'p Program,
+        configs: &[RunConfig],
+        keep_trace: bool,
+    ) -> Self {
+        let first = configs.first().expect("at least one config");
         assert!(
-            rest.iter().all(|c| c.input == first.input
+            configs.iter().all(|c| c.input == first.input
                 && c.seed == first.seed
                 && c.max_steps == first.max_steps
                 && c.engine == first.engine),
@@ -244,6 +252,13 @@ impl<'p> Machine<'p> {
         // Returning from the entry function jumps to the halt sentinel.
         let halt_index = insts;
         regs[Reg::Ra as usize] = layout::pc_of_index(halt_index);
+        let models: Vec<MemoryModel> = configs.iter().map(|c| MemoryModel::new(c, insts)).collect();
+        let (filter, plain) = match MruFilter::for_models(&models) {
+            Some(filter) if !keep_trace && models.iter().all(|model| filter.strips(model)) => {
+                (filter, None)
+            }
+            plain => (MruFilter::keeping_all(), plain),
+        };
         Machine {
             program,
             regs,
@@ -258,36 +273,24 @@ impl<'p> Machine<'p> {
             },
             finished: None,
             engine: first.engine,
-            model: MemoryModel::new(first, insts),
-            models: rest.iter().map(|c| MemoryModel::new(c, insts)).collect(),
-            chunk: Vec::with_capacity(CHUNK),
-            filter: None,
-            kept: None,
+            models,
+            filter,
+            plain,
+            trace: keep_trace.then(Vec::new),
         }
-    }
-
-    /// Keeps every recorded access for [`Machine::run_recorded`].
-    pub(crate) fn keep_trace(&mut self) {
-        self.kept = Some(Vec::new());
     }
 
     /// Reads a register.
     #[must_use]
-    pub fn reg(&self, r: Reg) -> u32 {
+    pub(crate) fn reg(&self, r: Reg) -> u32 {
         self.regs[r as usize]
     }
 
     /// Writes a register (writes to `$zero` are ignored).
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
+    pub(crate) fn set_reg(&mut self, r: Reg, v: u32) {
         if r != Reg::Zero {
             self.regs[r as usize] = v;
         }
-    }
-
-    /// The exit code if the program has terminated.
-    #[must_use]
-    pub fn exit_code(&self) -> Option<i32> {
-        self.finished
     }
 
     /// The `rand` syscall's raw draw: the top 31 bits of the seeded
@@ -296,40 +299,53 @@ impl<'p> Machine<'p> {
         (self.rng.next_u64() >> 33) as u32
     }
 
-    /// Appends one data access to the recorded stream, replaying the
-    /// chunk into every model when it fills.
+    /// Records one data access — the one way both engines feed the
+    /// memory models: the filter drops it when no model needs it, and
+    /// otherwise keeps it for the models to replay once a chunk's worth
+    /// has built up.
     #[inline(always)]
     pub(crate) fn record(&mut self, at: usize, addr: u32, store: bool) {
-        self.chunk.push(TraceRecord {
+        if self.filter.drops(addr) {
+            return;
+        }
+        let rec = TraceRecord {
             at: at as u32,
             addr,
             store,
-        });
-        if self.chunk.len() == CHUNK {
+        };
+        let full = self.filter.keep(rec);
+        if let Some(plain) = &mut self.plain {
+            // A subset of what `filter` keeps, so it fills no sooner.
+            if !plain.drops(addr) {
+                plain.keep(rec);
+            }
+        }
+        if full {
             self.replay_chunk();
         }
     }
 
-    /// Replays the recorded chunk into every model (and the kept
-    /// trace), then empties it: the models the filter strips replay
-    /// only what it keeps, the others the full chunk. Out of line:
-    /// once per [`CHUNK`] accesses.
+    /// Replays what was kept since the last replay into every model
+    /// (and the kept trace), then empties it: the plain models replay
+    /// what `plain` kept when there is one, the others what `filter`
+    /// kept. Out of line: at most once per
+    /// [`CHUNK`](crate::trace::CHUNK) records.
     #[cold]
     #[inline(never)]
     fn replay_chunk(&mut self) {
-        if let Some(filter) = &mut self.filter {
-            filter.strip(&self.chunk);
-        }
-        for model in std::iter::once(&mut self.model).chain(&mut self.models) {
-            match &self.filter {
-                Some(filter) if filter.strips(model) => model.replay(filter.kept()),
-                _ => model.replay(&self.chunk),
+        for model in &mut self.models {
+            match &self.plain {
+                Some(plain) if plain.strips(model) => model.replay(plain.kept()),
+                _ => model.replay(self.filter.kept()),
             }
         }
-        if let Some(kept) = &mut self.kept {
-            kept.extend_from_slice(&self.chunk);
+        if let Some(trace) = &mut self.trace {
+            trace.extend_from_slice(self.filter.kept());
         }
-        self.chunk.clear();
+        self.filter.clear();
+        if let Some(plain) = &mut self.plain {
+            plain.clear();
+        }
     }
 
     /// The step engine's load access: counted here, modeled from the
@@ -356,7 +372,7 @@ impl<'p> Machine<'p> {
     }
 
     /// Executes the syscall selected by `$v0`. `EXIT` marks the
-    /// machine finished; callers must check [`Self::exit_code`].
+    /// machine finished; callers must check `finished`.
     pub(crate) fn syscall(&mut self, at: usize) -> Result<(), Trap> {
         let number = self.regs[Reg::V0 as usize];
         let a0 = self.regs[Reg::A0 as usize];
@@ -398,7 +414,7 @@ impl<'p> Machine<'p> {
     /// # Panics
     ///
     /// Panics if called after the program has terminated.
-    pub fn step(&mut self) -> Result<(), Trap> {
+    pub(crate) fn step(&mut self) -> Result<(), Trap> {
         assert!(self.finished.is_none(), "step() after termination");
         let at = self.pc;
         let inst = self.program.insts[at];
@@ -593,15 +609,6 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// Runs to completion (or trap / step limit), consuming the machine.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`Trap`] that aborted execution.
-    pub fn run_to_completion(self, max_steps: u64) -> Result<RunResult, Trap> {
-        self.run_full(max_steps).map(|out| out.result)
-    }
-
     /// Runs to completion under the configured [`Engine`], consuming
     /// the machine and returning every output of the run.
     ///
@@ -613,21 +620,18 @@ impl<'p> Machine<'p> {
     ///
     /// Debug builds panic if the finished [`RunResult`] violates its
     /// cross-field invariants.
-    pub fn run_full(self, max_steps: u64) -> Result<SimOutput, Trap> {
+    pub(crate) fn run_full(self, max_steps: u64) -> Result<SimOutput, Trap> {
         self.run_recorded(max_steps)
             .map(|(_, mut outputs)| outputs.swap_remove(0))
     }
 
     /// Runs to completion and returns the kept trace (empty unless
-    /// [`Machine::keep_trace`] was called) and one output per model,
+    /// the machine keeps one) and one output per model,
     /// in configuration order.
     pub(crate) fn run_recorded(
         mut self,
         max_steps: u64,
     ) -> Result<(Vec<TraceRecord>, Vec<SimOutput>), Trap> {
-        if self.records() {
-            self.filter = MruFilter::for_models(std::iter::once(&self.model).chain(&self.models));
-        }
         let block_stats = match self.engine {
             Engine::Step => {
                 self.run_steps(max_steps)?;
@@ -640,8 +644,8 @@ impl<'p> Machine<'p> {
         self.result.dcache_accesses = self.result.loads + self.result.stores;
         if cfg!(debug_assertions) {
             // Every execution of a load site is exactly one load
-            // access; on the fast path this ties each block's static
-            // load slots to the range-expanded exec counts.
+            // access; under the block engine this ties each block's
+            // static load slots to the range-expanded exec counts.
             let load_execs: u64 = self
                 .program
                 .insts
@@ -656,11 +660,12 @@ impl<'p> Machine<'p> {
             );
         }
         let exec = self.result;
-        let outputs = std::iter::once(self.model)
-            .chain(self.models)
+        let outputs = self
+            .models
+            .into_iter()
             .map(|model| model.finish(&exec, block_stats))
             .collect();
-        Ok((self.kept.unwrap_or_default(), outputs))
+        Ok((self.trace.unwrap_or_default(), outputs))
     }
 
     /// Reference engine: the per-instruction `step()` loop.
@@ -674,28 +679,10 @@ impl<'p> Machine<'p> {
         Ok(())
     }
 
-    /// True when the run must record its access stream: the step
-    /// engine always does; the block engine does for several models,
-    /// a kept trace, or one model whose observers must see every
-    /// access. Otherwise the block engine models the single plain
-    /// configuration inline, with no filter.
-    fn records(&self) -> bool {
-        self.engine == Engine::Step
-            || !self.models.is_empty()
-            || self.kept.is_some()
-            || !self.model.is_plain()
-    }
-
-    /// Block-cached engine: decoded basic-block dispatch, in its
-    /// recording instantiation when [`Machine::records`] says so and
-    /// its inline fast path otherwise.
+    /// Block-cached engine: decoded basic-block dispatch.
     fn run_block_engine(&mut self, max_steps: u64) -> Result<BlockStats, Trap> {
         let mut cache = BlockCache::new(self.program.insts.len());
-        if self.records() {
-            block::run_blocks::<true>(self, &mut cache, max_steps)?;
-        } else {
-            block::run_blocks::<false>(self, &mut cache, max_steps)?;
-        }
+        block::run_blocks(self, &mut cache, max_steps)?;
         cache.flush_exec_counts(&mut self.result);
         cache.flush_access_totals(&mut self.result);
         Ok(cache.stats())
@@ -710,7 +697,9 @@ impl<'p> Machine<'p> {
 /// Returns a [`Trap`] if the program faults or exceeds
 /// `config.max_steps`.
 pub fn run(program: &Program, config: &RunConfig) -> Result<RunResult, Trap> {
-    Machine::new(program, config).run_to_completion(config.max_steps)
+    Machine::new(program, config)
+        .run_full(config.max_steps)
+        .map(|out| out.result)
 }
 
 /// Like [`run`], also returning the block-cache stats (`None` under
@@ -757,7 +746,7 @@ pub fn run_full(program: &Program, config: &RunConfig) -> Result<SimOutput, Trap
 /// seed, step limit or engine.
 pub fn run_many(program: &Program, configs: &[RunConfig]) -> Result<Vec<SimOutput>, Trap> {
     let max_steps = configs.first().expect("at least one config").max_steps;
-    Machine::with_models(program, configs)
+    Machine::with_models(program, configs, false)
         .run_recorded(max_steps)
         .map(|(_, outputs)| outputs)
 }

@@ -46,7 +46,7 @@ pub mod trace;
 
 pub use block::{BlockStats, Engine};
 pub use cache::{Cache, CacheConfig, CacheProfile, MissClass, MissClasses};
-pub use cpu::{run, run_full, run_many, run_with_stats, Machine, RunConfig, SimOutput, Trap};
+pub use cpu::{run, run_full, run_many, run_with_stats, RunConfig, SimOutput, Trap};
 pub use memory::{Inclusion, L2Config, MemoryConfig, Policy, Prefetch};
 pub use observe::{EpochMisses, MissObservatory, ObserveConfig};
 pub use reuse::{ReuseMeasurement, SiteHistogram};

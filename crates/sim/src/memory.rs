@@ -21,15 +21,14 @@
 //!   on prefetched lines as "hidden by prefetch" instead of folding
 //!   them into ordinary hits.
 //!
-//! Fast-path contract: a demand access that hits its set's MRU way
-//! changes no replacement state under *any* policy (LRU: the way is
-//! already at the front of the order; tree-PLRU: the path bits already
-//! point away from the way that was touched last; random: hits touch
-//! no state), and it cannot interact with the L2 (no miss, no victim).
-//! The block engine's one-compare MRU probe therefore stays valid for
-//! every policy and hierarchy, and so does the trace filter that
-//! strips such hits from the stream the plain models replay (see
-//! [`crate::trace`]); only the prefetcher — which must see every
+//! MRU contract: a demand access that hits its set's MRU way changes
+//! no replacement state under *any* policy (LRU: the way is already at
+//! the front of the order; tree-PLRU: the path bits already point away
+//! from the way that was touched last; random: hits touch no state),
+//! and it cannot interact with the L2 (no miss, no victim). That is
+//! what makes the trace filter exact for every policy and hierarchy:
+//! it drops such hits from the stream the plain models replay (see
+//! [`crate::trace`]), and only the prefetcher — which must see every
 //! demand load it may trigger on — needs the full recorded stream.
 
 use std::fmt;
@@ -213,8 +212,7 @@ pub enum Prefetch {
 
 /// The full memory-system configuration carried by
 /// [`crate::RunConfig::memory`]. The default (`lru`, no L2, no
-/// prefetch) is byte-for-byte the paper's original single-L1 model
-/// and keeps the block engine's fast path.
+/// prefetch) is byte-for-byte the paper's original single-L1 model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct MemoryConfig {
     /// Replacement policy applied to every level.
@@ -227,8 +225,8 @@ pub struct MemoryConfig {
 
 impl MemoryConfig {
     /// True for the paper's original model (LRU, single L1, no
-    /// prefetch) — the configuration whose labels and fast paths must
-    /// stay byte-identical to the pre-matrix simulator.
+    /// prefetch) — the configuration whose labels must stay
+    /// byte-identical to the pre-matrix simulator.
     #[must_use]
     pub fn is_default(&self) -> bool {
         *self == MemoryConfig::default()
@@ -432,11 +430,10 @@ pub(crate) struct MemCounters {
 /// optional L2, optional prefetcher, plus the prefetch fill reason of
 /// every L1 line and the level counters.
 ///
-/// Every non-MRU demand access goes through
+/// Every demand access a model replays goes through
 /// [`MemorySystem::demand_access`] in program order, whichever engine
-/// produced it, so hierarchy state advances identically; the block
-/// engine's fast path only ever skips accesses that provably change no
-/// state.
+/// produced it, so hierarchy state advances identically; the trace
+/// filter only ever drops accesses that provably change no state.
 #[derive(Debug, Clone)]
 pub(crate) struct MemorySystem {
     l1: Cache,
@@ -449,8 +446,12 @@ pub(crate) struct MemorySystem {
     /// hit. Empty for the plain configuration, which never consults
     /// it.
     prefetched: Vec<bool>,
-    /// Plain single-L1 fast configuration: no L2, no prefetcher.
-    /// Gates the one branch the demand path adds.
+    /// Plain single-L1 configuration: no L2, no prefetcher. Its
+    /// demand access is the bare L1 probe, with no fill reason to
+    /// keep. The fork pays on the plain models most runs replay:
+    /// sending them down the full walk read perfbench `exec` `wall_s`
+    /// +1.6% (faster in 2 of 8 alternating pairs) and `tables` +0.8%
+    /// (2 of 6) on a 2-CPU x86-64 host.
     simple: bool,
     pub(crate) counters: MemCounters,
 }
@@ -511,8 +512,8 @@ impl MemorySystem {
     }
 
     /// True when a prefetcher is configured: it must see every demand
-    /// load it may trigger on, including the MRU hits the block
-    /// engine's fast path skips.
+    /// load it may trigger on, including the MRU hits the trace filter
+    /// drops.
     pub(crate) fn prefetches(&self) -> bool {
         self.prefetcher.is_some()
     }
@@ -529,12 +530,6 @@ impl MemorySystem {
     pub(crate) fn fewest_sets(&self) -> u32 {
         let l1 = self.l1.config().sets();
         self.l2.as_ref().map_or(l1, |l2| l1.min(l2.config().sets()))
-    }
-
-    /// See [`Cache::mru_blocks`].
-    #[inline(always)]
-    pub(crate) fn mru_blocks(&self) -> &[u64] {
-        self.l1.mru_blocks()
     }
 
     /// Enables L1 miss classification (see [`Cache::enable_profiling`]).

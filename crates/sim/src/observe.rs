@@ -15,9 +15,10 @@
 //! deterministic *and* engine-invariant.
 //!
 //! The observatory is one more observer inside a memory model that
-//! replays the recorded stream (see [`crate::trace`]); with it off,
-//! the block engine's fast path is untouched, which the zero-overhead
-//! byte-compare test enforces.
+//! replays the recorded stream (see [`crate::trace`]). It must see
+//! every access, so its model replays the full stream, not the one the
+//! trace filter strips; the models without it are untouched, which
+//! the zero-overhead byte-compare test enforces.
 
 /// Configuration for the miss observatory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

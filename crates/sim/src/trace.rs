@@ -4,19 +4,19 @@
 //! static heuristic replaces: *"instrument the code such that a memory
 //! trace is produced … it is necessary to run the output memory trace
 //! through a cache simulator in order to obtain the cache miss data"*.
-//! The simulator works that way whenever a run needs more than the
-//! block engine's inline L1 probe: the engine appends every data
-//! access to a bounded chunk of [`TraceRecord`]s, and each full chunk
-//! is replayed into one memory model per configuration — L1, L2,
-//! replacement policy, prefetcher, per-site miss counters, and the
-//! optional miss classifier, observatory and reuse measurement — so
-//! one execution prices any number of memory systems
-//! ([`crate::run_many`]) while peak memory stays independent of the
-//! trace length. Each chunk is stripped once through a shared
-//! direct-mapped filter (`MruFilter`), and the plain models replay
-//! only the accesses it keeps: the rest are MRU hits that change no
-//! model's state. [`capture_trace`] is the consumer that keeps every
-//! chunk instead.
+//! The simulator works that way for every run, under both engines:
+//! the engine records every data access in bounded chunks of
+//! [`TraceRecord`]s, and each full chunk is replayed into one memory
+//! model per configuration — L1, L2, replacement policy, prefetcher,
+//! per-site miss counters, and the optional miss classifier,
+//! observatory and reuse measurement — so one execution prices any
+//! number of memory systems ([`crate::run_many`]) while peak memory
+//! stays independent of the trace length. Each access passes a shared
+//! direct-mapped filter (`MruFilter`) as it is recorded, and the plain
+//! models replay only the accesses it keeps: the rest are MRU hits
+//! that change no model's state. The full chunk is kept only when
+//! some model must see every access, or when [`capture_trace`] keeps
+//! the whole stream.
 //!
 //! # Example
 //!
@@ -72,8 +72,9 @@ pub(crate) const CHUNK: usize = 4096;
 
 /// Trace stripping (Puzak 1985; Wang & Baer, SIGMETRICS 1990): a
 /// direct-mapped tag array that keeps an access only when its block
-/// differs from the last block its filter set saw. The plain models
-/// of one execution replay what it keeps.
+/// differs from the last block its filter set saw. Every access of a
+/// run passes it as it is recorded, and the plain models replay what
+/// it keeps.
 ///
 /// Exact for every plain model at the filter's block size, because
 /// each level of such a model has at least the filter's sets, and set
@@ -84,19 +85,21 @@ pub(crate) const CHUNK: usize = 4096;
 /// has reached one either (both stay inside the set of the access
 /// that caused them). The block therefore still sits in the MRU way
 /// of its L1 set, and the access is a hit that changes no state in
-/// any level under any policy (the fast-path contract of
-/// [`crate::memory`]), so every miss counter stays exact. Prefetching
-/// and observing models must see every access and replay the full
-/// stream; so does a plain model at another block size.
+/// any level under any policy (the MRU contract of [`crate::memory`]),
+/// so every miss counter stays exact. Prefetching and observing
+/// models must see every access and replay the full stream; so does
+/// a plain model at another block size.
 #[derive(Debug)]
 pub(crate) struct MruFilter {
     /// log₂ of the block size.
     shift: u32,
-    /// The filter's set count minus one.
-    set_mask: u32,
-    /// The last block each filter set saw (`u64::MAX`: none yet).
-    last: Vec<u64>,
-    /// The records of the last stripped chunk that the filter kept.
+    /// The last block each filter set saw (`u64::MAX`: none yet); a
+    /// power-of-two number of sets.
+    last: Box<[u64]>,
+    /// False for the filter that drops nothing, whose one set never
+    /// holds a block.
+    remembers: bool,
+    /// The records kept since the last replay, in stream order.
     kept: Vec<TraceRecord>,
 }
 
@@ -105,28 +108,37 @@ impl MruFilter {
     /// plain model's block size, with the fewest sets that any level
     /// of a plain model has at that size. `None` when no model is
     /// plain.
-    pub(crate) fn for_models<'a, I>(models: I) -> Option<MruFilter>
-    where
-        I: Iterator<Item = &'a MemoryModel> + Clone,
-    {
+    pub(crate) fn for_models(models: &[MemoryModel]) -> Option<MruFilter> {
         let shift = models
-            .clone()
+            .iter()
             .find(|model| model.is_plain())?
             .system
             .hot_params();
         let sets = models
+            .iter()
             .filter(|model| Self::strips_at(shift, model))
             .map(|model| model.system.fewest_sets())
             .min()?;
         Some(MruFilter {
             shift,
-            set_mask: sets - 1,
-            last: vec![u64::MAX; sets as usize],
+            last: vec![u64::MAX; sets as usize].into_boxed_slice(),
+            remembers: true,
             kept: Vec::with_capacity(CHUNK),
         })
     }
 
-    /// True when `model` replays the stripped stream.
+    /// A filter that keeps every access: its one set holds no block
+    /// (a block number fits in 32 bits), and keeping leaves it so.
+    pub(crate) fn keeping_all() -> MruFilter {
+        MruFilter {
+            shift: 0,
+            last: Box::new([u64::MAX]),
+            remembers: false,
+            kept: Vec::with_capacity(CHUNK),
+        }
+    }
+
+    /// True when `model` replays the stream this filter strips.
     pub(crate) fn strips(&self, model: &MemoryModel) -> bool {
         Self::strips_at(self.shift, model)
     }
@@ -137,37 +149,53 @@ impl MruFilter {
         model.is_plain() && model.system.hot_params() == shift
     }
 
-    /// Strips `chunk`, the next records of the stream, into
-    /// [`MruFilter::kept`].
-    pub(crate) fn strip(&mut self, chunk: &[TraceRecord]) {
-        self.kept.clear();
-        for rec in chunk {
-            let block = u64::from(rec.addr >> self.shift);
-            let last = &mut self.last[(block as u32 & self.set_mask) as usize];
-            if *last != block {
-                *last = block;
-                self.kept.push(*rec);
-            }
-        }
+    /// True when `addr`'s block was the last its filter set saw: an
+    /// MRU hit in every model the filter strips, which it drops.
+    #[inline(always)]
+    pub(crate) fn drops(&self, addr: u32) -> bool {
+        let block = u64::from(addr >> self.shift);
+        // The set count is a power of two, so masking by `len - 1`
+        // picks the block's filter set.
+        self.last[block as usize & (self.last.len() - 1)] == block
     }
 
-    /// The records the last [`MruFilter::strip`] kept, in stream order.
+    /// Keeps `rec`, an access [`MruFilter::drops`] let through, whose
+    /// block becomes the last its set saw. True when the kept records
+    /// fill a chunk.
+    #[inline(always)]
+    pub(crate) fn keep(&mut self, rec: TraceRecord) -> bool {
+        if self.remembers {
+            let block = u64::from(rec.addr >> self.shift);
+            let set = block as usize & (self.last.len() - 1);
+            self.last[set] = block;
+        }
+        self.kept.push(rec);
+        self.kept.len() == CHUNK
+    }
+
+    /// The records kept since the last [`MruFilter::clear`], in stream
+    /// order.
     pub(crate) fn kept(&self) -> &[TraceRecord] {
         &self.kept
+    }
+
+    /// Empties the kept records once every model has replayed them.
+    pub(crate) fn clear(&mut self) {
+        self.kept.clear();
     }
 }
 
 /// One configuration's memory model: its hierarchy, its miss counters
 /// and its optional observers, fed the access stream in program
-/// order. The block engine's fast path drives the first model's
-/// counters inline instead (see [`MemoryModel::is_plain`]).
+/// order — the full stream, or the one the [`MruFilter`] strips when
+/// the model is plain.
 #[derive(Debug)]
 pub(crate) struct MemoryModel {
-    pub(crate) system: MemorySystem,
+    system: MemorySystem,
     /// Per-instruction load misses (`RunResult::load_misses`).
-    pub(crate) load_misses: Vec<u64>,
-    pub(crate) load_misses_total: u64,
-    pub(crate) dcache_misses: u64,
+    load_misses: Vec<u64>,
+    load_misses_total: u64,
+    dcache_misses: u64,
     load_miss_classes: Option<Vec<[u64; 3]>>,
     observatory: Option<MissObservatory>,
     reuse: Option<ReuseMeasurement>,
@@ -198,8 +226,7 @@ impl MemoryModel {
 
     /// True when no access needs more than the hit/miss answer: no
     /// prefetcher, classifier, observatory or reuse measurement. Only
-    /// such a model may skip the MRU hits the block engine's inline
-    /// probe answers.
+    /// such a model may skip the MRU hits the [`MruFilter`] drops.
     pub(crate) fn is_plain(&self) -> bool {
         !self.system.prefetches()
             && self.load_miss_classes.is_none()
@@ -318,9 +345,8 @@ pub fn capture_trace(
     program: &Program,
     config: &RunConfig,
 ) -> Result<(Vec<TraceRecord>, RunResult), Trap> {
-    let mut machine = Machine::new(program, config);
-    machine.keep_trace();
-    let (trace, mut outputs) = machine.run_recorded(config.max_steps)?;
+    let (trace, mut outputs) = Machine::with_models(program, std::slice::from_ref(config), true)
+        .run_recorded(config.max_steps)?;
     Ok((trace, outputs.swap_remove(0).result))
 }
 

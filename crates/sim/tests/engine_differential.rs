@@ -197,7 +197,7 @@ fn stack_heavy_programs_agree_including_mid_block_limits() {
         let program = parse_asm(&progen::arb_stack_heavy_program(rng)).unwrap();
         // Tiny limits land inside a run of slot accesses (forcing the
         // exact-step replay path); the large tier lets the loop finish
-        // so whole blocks retire on the fast path.
+        // so whole blocks retire through the dispatch loop.
         let max_steps = match rng.index(3) {
             0 => 1 + rng.below(40),
             1 => 1 + rng.below(400),
@@ -379,8 +379,8 @@ fn memory_matrix_agrees_across_engines() {
 /// observatory + matrix config still equals the bare matrix run, and
 /// the observatory's per-site epoch totals equal the bare run's
 /// per-site misses. The stack-heavy inputs also run under the plain
-/// L1, where the bare run takes the batched fast path and the
-/// observed run the instrumented one.
+/// L1, where the bare run replays the stripped stream and the
+/// observed run the full one.
 #[test]
 fn matrix_observability_is_zero_perturbation() {
     let rich_memories = [

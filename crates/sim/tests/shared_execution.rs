@@ -9,7 +9,10 @@
 //! direct-mapped filter, so the list also holds the models that bound
 //! it: a direct-mapped L1 behind a 32-set L2 under every policy and
 //! both inclusions, and a plain geometry at another block size, which
-//! must replay the full stream.
+//! must replay the full stream. A plain configuration run alone strips
+//! too, so each one checked alone is also checked against the same
+//! configuration measuring reuse, which is not plain and replays every
+//! access: the unstripped oracle.
 
 use dl_minic::OptLevel;
 use dl_mips::parse::parse_asm;
@@ -160,11 +163,24 @@ fn assert_same_output(shared: &SimOutput, alone: &SimOutput, what: &str) {
     assert_eq!(histograms(shared), histograms(alone), "{what}: reuse");
 }
 
+/// True when `config`'s model is plain — no prefetcher, classifier,
+/// observatory or reuse measurement — and so replays the stripped
+/// stream.
+fn is_plain(config: &RunConfig) -> bool {
+    config.memory.prefetch.is_none()
+        && !config.classify_misses
+        && config.observe.is_none()
+        && !config.reuse_profile
+}
+
 /// Models `program` under every configuration of `configs` from one
 /// execution per engine and checks each output against an independent
 /// block-engine run of that configuration alone — every
 /// configuration, or those `checked` picks by index (the two shared
-/// executions still agree on all of them).
+/// executions still agree on all of them). A checked plain
+/// configuration's alone result must also equal the result of the
+/// same configuration measuring reuse, whose model sees the full
+/// stream.
 fn assert_shared_equals_alone(
     program: &Program,
     configs: &[RunConfig],
@@ -192,6 +208,17 @@ fn assert_shared_equals_alone(
             let alone = run_full(program, config).expect("runs clean");
             assert_same_output(block, &alone, &format!("{what}, shared vs alone"));
             assert_eq!(block.block_stats, alone.block_stats, "{what}: block stats");
+            if is_plain(config) {
+                let unstripped = RunConfig {
+                    reuse_profile: true,
+                    ..config.clone()
+                };
+                let oracle = run_full(program, &unstripped).expect("runs clean");
+                assert_eq!(
+                    alone.result, oracle.result,
+                    "{what}: stripped vs unstripped"
+                );
+            }
         }
     }
 }

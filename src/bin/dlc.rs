@@ -145,6 +145,12 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--delta requires a number")?
                     .parse::<f64>()
                     .map_err(|e| e.to_string())?;
+                // A NaN threshold compares false against every load
+                // and an infinite one flags all or none: both silently
+                // change what `analyze` reports.
+                if !options.delta.is_finite() {
+                    return Err(format!("--delta must be finite, got {}", options.delta));
+                }
             }
             "--profile" => options.profile = true,
             "--reuse" => options.reuse = true,
@@ -990,6 +996,13 @@ mod tests {
         assert!(opts(&["a.mc", "--trace-out"]).is_err());
         assert!(opts(&["a.mc", "--epoch", "0"]).is_err());
         assert!(opts(&["a.mc", "--limit", "-1"]).is_err());
+        for delta in ["nan", "NaN", "inf", "-inf", "infinity"] {
+            let err = opts(&["a.mc", "--delta", delta]).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("finite")),
+                "--delta {delta}: {err:?}"
+            );
+        }
     }
 
     #[test]
