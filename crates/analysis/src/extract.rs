@@ -44,8 +44,6 @@ impl Default for AnalysisConfig {
 pub struct LoadInfo {
     /// Instruction index of the load.
     pub index: usize,
-    /// Name of the containing function.
-    pub func: String,
     /// The load's address patterns — one per distinct reaching
     /// address computation (bounded by
     /// [`AnalysisConfig::max_patterns`]).
@@ -278,7 +276,6 @@ pub fn analyze_function(
         patterns.dedup();
         loads.push(LoadInfo {
             index: idx,
-            func: func.name.clone(),
             patterns,
             truncated: ex.truncated,
         });

@@ -1,5 +1,5 @@
-//! Reaching-definitions dataflow at instruction granularity, per
-//! function.
+//! Reaching-definitions dataflow per function, solved over basic
+//! blocks and answered at instruction granularity.
 //!
 //! The paper (§6): *"If a load's address computation is dependent on
 //! values computed outside the basic block it is in, we perform a data
@@ -30,7 +30,7 @@ pub enum DefSite {
 }
 
 /// A compact bit set over definition ids.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct BitSet {
     words: Vec<u64>,
 }
@@ -41,24 +41,33 @@ impl BitSet {
             words: vec![0; n.div_ceil(64)],
         }
     }
-    fn insert(&mut self, i: u32) {
-        self.words[i as usize / 64] |= 1 << (i % 64);
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
     }
-    fn remove(&mut self, i: u32) {
-        self.words[i as usize / 64] &= !(1 << (i % 64));
-    }
-    fn contains(&self, i: u32) -> bool {
-        self.words[i as usize / 64] & (1 << (i % 64)) != 0
-    }
-    /// `self |= other`; returns `true` if `self` changed.
-    fn union_with(&mut self, other: &BitSet) -> bool {
-        let mut changed = false;
+    /// `self |= other`.
+    fn union_with(&mut self, other: &BitSet) {
         for (a, b) in self.words.iter_mut().zip(&other.words) {
-            let new = *a | *b;
-            changed |= new != *a;
-            *a = new;
+            *a |= *b;
+        }
+    }
+    /// `self = gen ∪ (input − kill)`; returns `true` if `self` changed.
+    fn transfer(&mut self, input: &BitSet, gen: &BitSet, kill: &BitSet) -> bool {
+        let mut changed = false;
+        for (((o, i), g), k) in self
+            .words
+            .iter_mut()
+            .zip(&input.words)
+            .zip(&gen.words)
+            .zip(&kill.words)
+        {
+            let new = g | (i & !k);
+            changed |= new != *o;
+            *o = new;
         }
         changed
+    }
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
     }
 }
 
@@ -82,7 +91,42 @@ const CALL_CLOBBERS: [Reg; 16] = [
     Reg::Ra,
 ];
 
+/// Calls `f(reg, site)` for each definition instruction `idx` makes.
+fn for_each_def(inst: &Inst, idx: usize, mut f: impl FnMut(Reg, DefSite)) {
+    match inst {
+        Inst::Jal { .. } | Inst::Jalr { .. } => {
+            f(Reg::V0, DefSite::CallRet(idx));
+            f(Reg::V1, DefSite::CallRet(idx));
+            for r in CALL_CLOBBERS {
+                f(r, DefSite::CallClobber(idx));
+            }
+        }
+        Inst::Syscall => f(Reg::V0, DefSite::CallRet(idx)),
+        _ => {
+            if let Some(r) = inst.def() {
+                f(r, DefSite::Inst(idx));
+            }
+        }
+    }
+}
+
+/// The instruction index of a definition other than an entry one.
+fn inst_index(site: DefSite) -> usize {
+    match site {
+        DefSite::Inst(i) | DefSite::CallRet(i) | DefSite::CallClobber(i) => i,
+        DefSite::Entry(_) => unreachable!("entry definitions precede every instruction"),
+    }
+}
+
 /// The reaching-definitions solution for one function.
+///
+/// Definition ids are grouped by register: register `r` owns the
+/// contiguous range `first[r]..first[r + 1]`, its entry definition
+/// first and then its definitions in instruction order. So a block
+/// kills whole ranges and generates the last id of each register it
+/// defines, and only block-level reach-in sets are kept: a query finds
+/// the register's last definition above it in its block, or else reads
+/// the register's range of the block's reach-in set.
 ///
 /// # Example
 ///
@@ -105,136 +149,112 @@ const CALL_CLOBBERS: [Reg; 16] = [
 #[derive(Debug)]
 pub struct ReachingDefs {
     func_start: usize,
-    /// Definition id → (site, defined register).
-    defs: Vec<(DefSite, Reg)>,
-    /// Per-register list of definition ids.
-    defs_of_reg: Vec<Vec<u32>>,
-    /// Per-instruction reach-in sets.
+    /// Definition id → site, grouped by register.
+    sites: Vec<DefSite>,
+    /// The first definition id of each register (its entry
+    /// definition); `first[32]` is the number of definitions.
+    first: [usize; 33],
+    /// Block id of each instruction, indexed by `index - func_start`.
+    block_of: Vec<u32>,
+    /// Per-block reach-in sets.
     reach_in: Vec<BitSet>,
 }
 
 impl ReachingDefs {
-    /// The definitions an instruction generates, in (reg, site) pairs.
-    fn gens(inst: &Inst, idx: usize) -> Vec<(Reg, DefSite)> {
-        match inst {
-            Inst::Jal { .. } | Inst::Jalr { .. } => {
-                let mut v = vec![
-                    (Reg::V0, DefSite::CallRet(idx)),
-                    (Reg::V1, DefSite::CallRet(idx)),
-                ];
-                v.extend(CALL_CLOBBERS.map(|r| (r, DefSite::CallClobber(idx))));
-                v
-            }
-            Inst::Syscall => vec![(Reg::V0, DefSite::CallRet(idx))],
-            _ => inst
-                .def()
-                .map(|r| (r, DefSite::Inst(idx)))
-                .into_iter()
-                .collect(),
-        }
-    }
-
     /// Solves reaching definitions for `func`.
     #[must_use]
     pub fn build(program: &Program, func: &FuncSym, cfg: &Cfg) -> ReachingDefs {
         let (lo, hi) = (func.start, func.end);
-        // Enumerate definitions: 32 entry defs, then instruction defs.
-        let mut defs: Vec<(DefSite, Reg)> =
-            Reg::ALL.iter().map(|&r| (DefSite::Entry(r), r)).collect();
-        let mut defs_of_reg: Vec<Vec<u32>> = (0..32).map(|r| vec![r as u32]).collect();
-        // Per-instruction gen lists as def ids.
-        let mut inst_gens: Vec<Vec<(Reg, u32)>> = Vec::with_capacity(hi - lo);
-        for idx in lo..hi {
-            let mut list = Vec::new();
-            for (reg, site) in Self::gens(&program.insts[idx], idx) {
-                let id = defs.len() as u32;
-                defs.push((site, reg));
-                defs_of_reg[reg as usize].push(id);
-                list.push((reg, id));
-            }
-            inst_gens.push(list);
+        // Number definitions per register: the entry def, then the
+        // register's defs in instruction order.
+        let mut first = [0usize; 33];
+        for (idx, inst) in program.insts[lo..hi].iter().enumerate() {
+            for_each_def(inst, lo + idx, |r, _| first[r as usize + 1] += 1);
         }
-        let ndefs = defs.len();
+        for r in 0..32 {
+            first[r + 1] += first[r] + 1;
+        }
+        let ndefs = first[32];
+        let mut sites = vec![DefSite::Entry(Reg::Zero); ndefs];
+        let mut next = [0usize; 32];
+        for (r, reg) in Reg::ALL.into_iter().enumerate() {
+            sites[first[r]] = DefSite::Entry(reg);
+            next[r] = first[r] + 1;
+        }
 
-        // Block-level GEN/KILL.
+        // Block-level GEN (the last def of each register the block
+        // defines) and KILL (the whole range of each such register).
         let blocks = cfg.blocks();
         let nb = blocks.len();
         let mut gen = vec![BitSet::new(ndefs); nb];
         let mut kill = vec![BitSet::new(ndefs); nb];
+        let mut block_of = Vec::with_capacity(hi - lo);
         for (b, block) in blocks.iter().enumerate() {
+            let mut defined = 0u32;
             for idx in block.start..block.end {
-                for &(reg, id) in &inst_gens[idx - lo] {
-                    for &other in &defs_of_reg[reg as usize] {
-                        gen[b].remove(other);
-                        kill[b].insert(other);
-                    }
-                    gen[b].insert(id);
-                    kill[b].remove(id);
+                block_of.push(b as u32);
+                for_each_def(&program.insts[idx], idx, |r, site| {
+                    let r = r as usize;
+                    sites[next[r]] = site;
+                    next[r] += 1;
+                    defined |= 1 << r;
+                });
+            }
+            for r in (0..32).filter(|r| defined & (1 << r) != 0) {
+                for id in first[r]..first[r + 1] {
+                    kill[b].insert(id);
                 }
+                gen[b].insert(next[r] - 1);
             }
         }
         // Iterate to fixpoint.
-        let mut block_in = vec![BitSet::new(ndefs); nb];
-        let mut block_out = vec![BitSet::new(ndefs); nb];
-        for r in 0..32u32 {
-            block_in[0].insert(r);
+        let mut reach_in = vec![BitSet::new(ndefs); nb];
+        let mut reach_out = vec![BitSet::new(ndefs); nb];
+        for &id in &first[..32] {
+            reach_in[0].insert(id);
         }
         let mut changed = true;
         while changed {
             changed = false;
             for b in 0..nb {
-                let mut input = block_in[b].clone();
                 for &p in &blocks[b].preds {
-                    input.union_with(&block_out[p]);
+                    reach_in[b].union_with(&reach_out[p]);
                 }
-                // OUT = GEN ∪ (IN - KILL)
-                let mut out = input.clone();
-                for (w, k) in out.words.iter_mut().zip(&kill[b].words) {
-                    *w &= !k;
-                }
-                out.union_with(&gen[b]);
-                if out != block_out[b] || input != block_in[b] {
-                    changed = true;
-                }
-                block_in[b] = input;
-                block_out[b] = out;
-            }
-        }
-        // Per-instruction reach-in by forward walk within each block.
-        let mut reach_in = vec![BitSet::new(0); hi - lo];
-        for (b, block) in blocks.iter().enumerate() {
-            let mut cur = block_in[b].clone();
-            for idx in block.start..block.end {
-                reach_in[idx - lo] = cur.clone();
-                for &(reg, id) in &inst_gens[idx - lo] {
-                    for &other in &defs_of_reg[reg as usize] {
-                        cur.remove(other);
-                    }
-                    cur.insert(id);
-                }
+                changed |= reach_out[b].transfer(&reach_in[b], &gen[b], &kill[b]);
             }
         }
         ReachingDefs {
             func_start: lo,
-            defs,
-            defs_of_reg,
+            sites,
+            first,
+            block_of,
             reach_in,
         }
     }
 
     /// The definitions of `reg` that reach instruction `at`
-    /// (instruction index within the analyzed function).
+    /// (instruction index within the analyzed function), in id order:
+    /// the entry definition first, then the others in instruction
+    /// order.
     ///
     /// # Panics
     ///
     /// Panics if `at` is outside the analyzed function.
     #[must_use]
     pub fn reaching(&self, at: usize, reg: Reg) -> Vec<DefSite> {
-        let set = &self.reach_in[at - self.func_start];
-        self.defs_of_reg[reg as usize]
-            .iter()
-            .filter(|&&id| set.contains(id))
-            .map(|&id| self.defs[id as usize].0)
+        let b = self.block_of[at - self.func_start] as usize;
+        let (entry, end) = (self.first[reg as usize], self.first[reg as usize + 1]);
+        let defs = &self.sites[entry + 1..end];
+        let above = defs.partition_point(|&s| inst_index(s) < at);
+        if let Some(&last) = defs[..above].last() {
+            if self.block_of[inst_index(last) - self.func_start] as usize == b {
+                return vec![last];
+            }
+        }
+        let set = &self.reach_in[b];
+        (entry..end)
+            .filter(|&id| set.contains(id))
+            .map(|id| self.sites[id])
             .collect()
     }
 }

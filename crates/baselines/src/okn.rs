@@ -95,7 +95,6 @@ mod tests {
     fn load_with(patterns: Vec<Ap>) -> LoadInfo {
         LoadInfo {
             index: 0,
-            func: "f".into(),
             patterns,
             truncated: false,
         }

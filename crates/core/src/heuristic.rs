@@ -206,7 +206,6 @@ mod tests {
     fn load_with(patterns: Vec<Ap>) -> LoadInfo {
         LoadInfo {
             index: 0,
-            func: "f".into(),
             patterns,
             truncated: false,
         }
@@ -301,7 +300,6 @@ mod tests {
         use dl_analysis::extract::ProgramAnalysis;
         let mk = |index: usize, hot: bool| LoadInfo {
             index,
-            func: "f".into(),
             patterns: vec![if hot {
                 Ap::deref(Ap::deref(Ap::add(sp(), Ap::Const(4))))
             } else {

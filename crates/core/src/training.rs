@@ -317,7 +317,6 @@ mod tests {
             };
             loads.push(LoadInfo {
                 index: i,
-                func: "f".into(),
                 patterns: vec![pattern],
                 truncated: false,
             });

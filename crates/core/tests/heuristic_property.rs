@@ -37,7 +37,6 @@ fn arb_pattern(rng: &mut Rng) -> Ap {
 fn arb_load(rng: &mut Rng, index: usize) -> LoadInfo {
     LoadInfo {
         index,
-        func: "f".into(),
         patterns: rng.vec_of(1, 4, arb_pattern),
         truncated: false,
     }

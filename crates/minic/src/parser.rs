@@ -1,4 +1,5 @@
-//! The MiniC recursive-descent parser.
+//! The MiniC parser: recursive descent, with one precedence-climbing
+//! loop for the binary operators.
 
 use crate::ast::{BinOp, Expr, ExprKind, Func, Global, Stmt, StructDef, Type, UnOp, Unit};
 use crate::lexer::{Tok, Token};
@@ -16,6 +17,32 @@ pub fn parse(tokens: &[Token]) -> Result<Unit, CompileError> {
         next_id: 0,
     };
     p.unit()
+}
+
+/// The binary operator a token spells, with its precedence (higher
+/// binds tighter). Every binary operator is left-associative.
+fn binary_op(tok: &Tok) -> Option<(BinOp, u8)> {
+    Some(match tok {
+        Tok::PipePipe => (BinOp::Or, 1),
+        Tok::AmpAmp => (BinOp::And, 2),
+        Tok::Pipe => (BinOp::BitOr, 3),
+        Tok::Caret => (BinOp::BitXor, 4),
+        Tok::Amp => (BinOp::BitAnd, 5),
+        Tok::EqEq => (BinOp::Eq, 6),
+        Tok::Ne => (BinOp::Ne, 6),
+        Tok::Lt => (BinOp::Lt, 7),
+        Tok::Le => (BinOp::Le, 7),
+        Tok::Gt => (BinOp::Gt, 7),
+        Tok::Ge => (BinOp::Ge, 7),
+        Tok::Shl => (BinOp::Shl, 8),
+        Tok::Shr => (BinOp::Shr, 8),
+        Tok::Plus => (BinOp::Add, 9),
+        Tok::Minus => (BinOp::Sub, 9),
+        Tok::Star => (BinOp::Mul, 10),
+        Tok::Slash => (BinOp::Div, 10),
+        Tok::Percent => (BinOp::Rem, 10),
+        _ => return None,
+    })
 }
 
 struct Parser<'a> {
@@ -374,7 +401,7 @@ impl Parser<'_> {
 
     fn assignment(&mut self) -> Result<Expr, CompileError> {
         let line = self.line();
-        let lhs = self.logic_or()?;
+        let lhs = self.binary(1)?;
         if self.eat(&Tok::Eq) {
             let rhs = self.assignment()?;
             return Ok(self.fresh(line, ExprKind::Assign(Box::new(lhs), Box::new(rhs))));
@@ -382,87 +409,22 @@ impl Parser<'_> {
         Ok(lhs)
     }
 
-    fn binary_level(
-        &mut self,
-        ops: &[(Tok, BinOp)],
-        next: fn(&mut Self) -> Result<Expr, CompileError>,
-    ) -> Result<Expr, CompileError> {
-        let mut lhs = next(self)?;
-        'outer: loop {
-            for (tok, op) in ops {
-                if self.eat(tok) {
-                    let line = self.line();
-                    let rhs = next(self)?;
-                    lhs = self.fresh(line, ExprKind::Binary(*op, Box::new(lhs), Box::new(rhs)));
-                    continue 'outer;
-                }
+    /// A chain of binary operators binding at least as tightly as
+    /// `min_prec`, by precedence climbing: each operator's right
+    /// operand binds tighter than the operator itself, so equal
+    /// precedences associate to the left.
+    fn binary(&mut self, min_prec: u8) -> Result<Expr, CompileError> {
+        let mut lhs = self.unary()?;
+        while let Some((op, prec)) = self.peek().and_then(binary_op) {
+            if prec < min_prec {
+                break;
             }
-            return Ok(lhs);
+            self.pos += 1;
+            let line = self.line();
+            let rhs = self.binary(prec + 1)?;
+            lhs = self.fresh(line, ExprKind::Binary(op, Box::new(lhs), Box::new(rhs)));
         }
-    }
-
-    fn logic_or(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(&[(Tok::PipePipe, BinOp::Or)], Self::logic_and)
-    }
-
-    fn logic_and(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(&[(Tok::AmpAmp, BinOp::And)], Self::bit_or)
-    }
-
-    fn bit_or(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(&[(Tok::Pipe, BinOp::BitOr)], Self::bit_xor)
-    }
-
-    fn bit_xor(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(&[(Tok::Caret, BinOp::BitXor)], Self::bit_and)
-    }
-
-    fn bit_and(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(&[(Tok::Amp, BinOp::BitAnd)], Self::equality)
-    }
-
-    fn equality(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            &[(Tok::EqEq, BinOp::Eq), (Tok::Ne, BinOp::Ne)],
-            Self::relational,
-        )
-    }
-
-    fn relational(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            &[
-                (Tok::Le, BinOp::Le),
-                (Tok::Ge, BinOp::Ge),
-                (Tok::Lt, BinOp::Lt),
-                (Tok::Gt, BinOp::Gt),
-            ],
-            Self::shift,
-        )
-    }
-
-    fn shift(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            &[(Tok::Shl, BinOp::Shl), (Tok::Shr, BinOp::Shr)],
-            Self::additive,
-        )
-    }
-
-    fn additive(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            &[(Tok::Plus, BinOp::Add), (Tok::Minus, BinOp::Sub)],
-            Self::multiplicative,
-        )
-    }
-
-    fn multiplicative(&mut self) -> Result<Expr, CompileError> {
-        self.binary_level(
-            &[
-                (Tok::Star, BinOp::Mul),
-                (Tok::Slash, BinOp::Div),
-                (Tok::Percent, BinOp::Rem),
-            ],
-            Self::unary,
-        )
+        Ok(lhs)
     }
 
     fn unary(&mut self) -> Result<Expr, CompileError> {

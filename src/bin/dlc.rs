@@ -21,7 +21,7 @@
 //! `none`), and `--prefetch DEGREE` (on `run`, `analyze`, and `top`)
 //! select the memory system: L1 replacement policy, an optional
 //! second cache level, and a PC-indexed stride prefetcher (degree 0
-//! disables it). All default to the paper's single LRU L1.
+//! disables it; at most 64). All default to the paper's single LRU L1.
 //!
 //! `--profile` (on `run` and `analyze`) turns on the simulator's
 //! opt-in cache profiling: the miss-class breakdown (compulsory /
@@ -92,6 +92,9 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// The largest `--prefetch` degree accepted.
+const MAX_PREFETCH_DEGREE: u32 = 64;
 
 struct Options {
     path: String,
@@ -182,6 +185,13 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("--prefetch requires a degree (0 disables)")?
                     .parse::<u32>()
                     .map_err(|e| e.to_string())?;
+                // Every triggering load issues `degree` fills, so the
+                // run's length grows with the degree.
+                if degree > MAX_PREFETCH_DEGREE {
+                    return Err(format!(
+                        "--prefetch degree must be at most {MAX_PREFETCH_DEGREE}, got {degree}"
+                    ));
+                }
                 options.memory.prefetch = (degree > 0).then_some(Prefetch::Stride(degree));
             }
             "--trace-out" => {
@@ -1036,6 +1046,17 @@ mod tests {
         assert!(opts(&["prog.mc", "--policy", "plru", "--l2", "64,128"]).is_err());
         assert!(opts(&["prog.mc", "--l2", "4194304"]).is_err());
         assert!(opts(&["prog.mc", "--prefetch", "-1"]).is_err());
+        // Degrees past 64 are refused: each fill is issued per
+        // triggering load.
+        let top = opts(&["prog.mc", "--prefetch", "64"]).unwrap();
+        assert_eq!(top.memory.prefetch, Some(Prefetch::Stride(64)));
+        for degree in ["65", "1000000000"] {
+            let err = opts(&["prog.mc", "--prefetch", degree]).err();
+            assert!(
+                err.as_deref().is_some_and(|e| e.contains("at most 64")),
+                "--prefetch {degree}: {err:?}"
+            );
+        }
     }
 
     #[test]
